@@ -24,7 +24,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,18 +197,13 @@ class Target:
     model: RiemannianModel | None = None
     metric: PolarMetric2D | None = None
     raw_area: AreaFunction | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def area_on(self, grid: RadialGrid, m_theta: int) -> AreaFunction:
-        key = ("area", grid.intervals, m_theta)
-        if key not in self._cache:
-            if self.metric is not None:
-                self._cache[key] = area_from_polar_metric(self.metric, grid, m_theta)
-            elif self.model is not None:
-                self._cache[key] = area_from_warping(self.model)
-            else:
-                self._cache[key] = self.raw_area
-        return self._cache[key]
+        if self.metric is not None:
+            return area_from_polar_metric(self.metric, grid, m_theta)
+        if self.model is not None:
+            return area_from_warping(self.model)
+        return self.raw_area
 
     def as_model(self, grid: RadialGrid, m_theta: int) -> RiemannianModel:
         if self.model is not None:
@@ -499,6 +494,17 @@ def cmd_paper_example(cfg: ModelConfig, opts: RunOptions) -> tuple[dict, int]:
 # argument handling and serialization
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for real-valued flags: a float that is neither inf nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_argparser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ballbound",
@@ -511,13 +517,13 @@ def _build_argparser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON model configuration file")
     common.add_argument("--builtin", help="builtin model id, e.g. euclidean or hyperbolic(-1)")
-    common.add_argument("--radius", type=float, help="ball radius")
+    common.add_argument("--radius", type=_finite_float, help="ball radius")
     common.add_argument("--dimension", type=int, help="ball dimension (>= 2)")
-    common.add_argument("--kappa", type=float, help="space-form curvature parameter")
+    common.add_argument("--kappa", type=_finite_float, help="space-form curvature parameter")
     common.add_argument("--grid", type=int, default=4096, help="radial grid intervals")
     common.add_argument("--theta", type=int, default=256, help="angular quadrature points")
     common.add_argument("--kmax", type=int, default=200, help="maximum hierarchy depth")
-    common.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance")
+    common.add_argument("--tol", type=_finite_float, default=1e-8, help="stopping tolerance")
     common.add_argument("--mesh", default="64x64", help="2-D mesh as MxP, e.g. 64x64")
     common.add_argument("--output", help="write the report to this path")
     common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     DomainError,
@@ -316,6 +315,8 @@ def warping_from_area(area: AreaFunction) -> WarpingFunction:
         return (np.clip(a, 0.0, None) / vol) ** (1.0 / (n - 1))
 
     if area.samples is not None:
+        from scipy.interpolate import PchipInterpolator
+
         nodes, values = area.samples
         if np.any(values < 0.0):
             raise InvalidAreaError("sampled area function has negative nodes")
@@ -350,6 +351,8 @@ def area_from_polar_metric(
     values = rho.sum(axis=1) * (2.0 * math.pi / m_theta)
     if np.any(values <= 0.0):
         raise InvalidMetricError("angular quadrature of the density is not positive")
+    from scipy.interpolate import PchipInterpolator
+
     nodes = grid.nodes
     samples = np.concatenate([[0.0], values])
     spline = PchipInterpolator(nodes, samples, extrapolate=False)

@@ -185,8 +185,8 @@ def run_until_converged(
     ``k_max`` levels are exhausted first the series come back flagged
     unconverged rather than raising.
     """
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if k_max < 2:
         raise DomainError("k_max must be at least 2")
     dx = _require_moment_grid(grid)

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import (
     AssemblyError,
@@ -165,11 +163,11 @@ def shoot_radial_lambda1(
 
     Integrates outward from f(0) = 1, f'(0) = 0, scans an expanding bracket
     for the first sign change of f(R), then bisects the eigenvalue to width
-    ``tol``.  The residual reported is |f(R)| at the final eigenvalue
-    (f(0) = 1 normalization).
+    ``tol``, or until no float lies between the bracket ends.  The residual
+    reported is |f(R)| at the final eigenvalue (f(0) = 1 normalization).
     """
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     h = grid.spacing
     nodes = grid.nodes
     a_nodes, a_mid = _model_area_arrays(model, nodes, h)
@@ -199,6 +197,9 @@ def shoot_radial_lambda1(
     iterations = 0
     while b - a > tol:
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            # a and b are adjacent floats: the width cannot shrink further.
+            break
         f_mid, _ = _shoot_scalar(mid, n, h, a_list, m_list)
         iterations += 1
         if f_mid > 0.0:
@@ -220,6 +221,16 @@ def shoot_radial_lambda1(
     return EigenResult(lambda1=lam1, eigenfunction=f, iterations=iterations, residual=residual)
 
 
+def splu(matrix):
+    """Sparse LU factorization of a CSC matrix (``scipy.sparse.linalg.splu``).
+
+    scipy is imported on first use so that radial runs never load it.
+    """
+    from scipy.sparse.linalg import splu as scipy_splu
+
+    return scipy_splu(matrix)
+
+
 def build_discrete_laplacian(metric: PolarMetric2D, mesh: Mesh2D):
     """Assemble the flux-form discretization of -Laplace on the punctured disc.
 
@@ -227,6 +238,8 @@ def build_discrete_laplacian(metric: PolarMetric2D, mesh: Mesh2D):
     the Dirichlet ring at r = R is eliminated.  Returns the stiffness matrix
     (CSR) and the diagonal of the mass matrix.
     """
+    import scipy.sparse as sp
+
     m_r, m_t = mesh.n_radial, mesh.n_angular
     radius = metric.radius
     dr = radius / m_r
@@ -318,8 +331,8 @@ def eigen_2d_polar(metric: PolarMetric2D, mesh: Mesh2D, tol: float = 1e-8) -> Ei
     when the eigenvalue is relatively Cauchy at ``tol`` and the relative
     residual ||A v - lambda B v|| / (lambda ||B v||) is below 2 tol.
     """
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     stiffness, mass = build_discrete_laplacian(metric, mesh)
     solve = splu(stiffness.tocsc()).solve
 

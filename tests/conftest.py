@@ -1,7 +1,11 @@
 """Shared fixtures: reference constants, model suites, and an expression generator."""
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,21 @@ from ballbound.exprparse import (
 # Independent reference eigenvalues (Bessel zero via scipy, classical values).
 J0_SQUARED = float(jn_zeros(0, 1)[0] ** 2)
 PI_SQUARED = math.pi**2
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the package source on PYTHONPATH.
+
+    A test that could hang runs its repro here, so that ``timeout`` turns a
+    hang into a failure instead of stalling the suite.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 @pytest.fixture(scope="session")

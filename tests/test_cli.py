@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import jsonschema
 import pytest
@@ -299,6 +300,26 @@ class TestOutputsAndCodes:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"kind": "warping", "omega": "sin(t)"}))
         assert main(["bound", "--config", str(cfg), "--builtin", "euclidean"]) == 1
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("oracle", "--tol", "nan"),
+            ("bound", "--tol", "inf"),
+            ("bound", "--radius", "inf"),
+            ("oracle", "--radius", "nan"),
+            ("bound", "--kappa", "-inf"),
+            ("compare", "--kappa", "nan"),
+        ],
+    )
+    def test_non_finite_flags_are_usage_errors(self, command, flag, value, capsys):
+        # Rejected while parsing, before any numpy warning can be raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--builtin", "euclidean", f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
 
     def test_expression_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"

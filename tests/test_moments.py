@@ -204,5 +204,9 @@ class TestStoppingAndErrors:
     def test_bad_arguments(self, unit_grid):
         with pytest.raises(DomainError):
             run_until_converged(disc_area(), unit_grid, -1.0, 10)
+        # inf would stop at the first comparison with a wrong "converged" value
+        for tol in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                run_until_converged(disc_area(), unit_grid, tol, 10)
         with pytest.raises(DomainError):
             run_until_converged(disc_area(), unit_grid, 1e-8, 1)

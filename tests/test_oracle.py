@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from ballbound import (
 from ballbound.errors import DegenerateProfileError, DomainError
 from ballbound.oracle import radial_profile_from_model
 
-from conftest import J0_SQUARED, PI_SQUARED, metric_suite, model_suite
+from conftest import J0_SQUARED, PI_SQUARED, metric_suite, model_suite, run_python
 
 
 class TestRadialShooting:
@@ -74,6 +75,27 @@ class TestRadialShooting:
         res = shoot_radial_lambda1(model, grid, 1e-8)
         assert res.lambda1 > 4.0 * 2.0 * J0_SQUARED
         assert res.lambda1 > 100.0
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+    def test_rejects_bad_tolerance(self, unit_grid, tol):
+        # nan used to skip the bisection and return the bracket midpoint
+        with pytest.raises(DomainError):
+            shoot_radial_lambda1(euclidean_model(2, 1.0), unit_grid, tol)
+
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_tiny_radius_terminates(self, command):
+        # At lambda ~ 5.8e8 the float spacing exceeds the bisection width, so
+        # the bisection must stop on adjacent floats.
+        proc = run_python(
+            "-m", "ballbound.cli", command, "--builtin", "euclidean", "--radius", "1e-4"
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        if command == "oracle":
+            lam = report["oracle"]["lambda1"]
+        else:
+            lam = report["comparison"]["reference_lambda"]
+        assert lam == pytest.approx(J0_SQUARED / 1e-8, rel=1e-9)
 
     def test_scaling_with_radius(self):
         grid1 = RadialGrid.uniform(1.0, 512)
@@ -132,6 +154,12 @@ class TestEigen2D:
         fine, estimate, extrapolated = eigen_2d_refined(metric, Mesh2D(32, 32), 1e-9)
         combined = 1e-9 * norm.final + estimate
         assert extrapolated <= norm.final + 3.0 * combined
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_tolerance(self, tol):
+        flat = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
+        with pytest.raises(DomainError):
+            eigen_2d_polar(flat, Mesh2D(16, 16), tol)
 
     def test_mesh_validation(self):
         with pytest.raises(DomainError):
