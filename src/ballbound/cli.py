@@ -24,7 +24,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -153,8 +153,12 @@ class ModelConfig:
                 )
         if self.dimension < 2:
             raise ConfigError(f"dimension must be at least 2, got {self.dimension}")
+        if not math.isfinite(self.radius):
+            raise ConfigError(f"radius must be finite, got {self.radius}")
         if self.radius <= 0.0:
             raise ConfigError(f"radius must be positive, got {self.radius}")
+        if self.kappa is not None and not math.isfinite(self.kappa):
+            raise ConfigError(f"kappa must be finite, got {self.kappa}")
         if self.kind == "polar2d" and self.dimension != 2:
             raise ConfigError("polar2d metrics require dimension = 2")
         if self.builtin is not None:
@@ -162,20 +166,6 @@ class ModelConfig:
             if name == "paper-example" and self.dimension != 2:
                 raise ConfigError("the paper-example builtin fixes dimension = 2")
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dimension": self.dimension,
-            "radius": self.radius,
-            "kind": self.kind,
-            "omega": self.omega,
-            "area": self.area,
-            "rho": self.rho,
-            "builtin": self.builtin,
-            "kappa": self.kappa,
-            "reference_warping": self.reference_warping,
-        }
 
 
 def _split_builtin(spec: str) -> tuple[str, float | None]:
@@ -185,7 +175,10 @@ def _split_builtin(spec: str) -> tuple[str, float | None]:
             f"unknown builtin {spec!r}; use one of {', '.join(BUILTINS)}"
             " (curvature in parentheses, e.g. hyperbolic(-1))"
         )
-    return m.group(1), (float(m.group(2)) if m.group(2) is not None else None)
+    kappa = float(m.group(2)) if m.group(2) is not None else None
+    if kappa is not None and not math.isfinite(kappa):
+        raise ConfigError(f"builtin curvature must be finite, got {spec!r}")
+    return m.group(1), kappa
 
 
 @dataclass
@@ -284,7 +277,7 @@ def build_target(cfg: ModelConfig) -> Target:
 def _blank_report(cfg: ModelConfig, opts: RunOptions) -> dict:
     return {
         "config": {
-            "model": cfg.to_dict(),
+            "model": asdict(cfg),
             "grid": opts.grid,
             "m_theta": opts.m_theta,
             "k_max": opts.k_max,
@@ -331,25 +324,28 @@ def cmd_bound(cfg: ModelConfig, opts: RunOptions) -> tuple[dict, int]:
     return report, 0 if report["series"]["converged"] else 3
 
 
+def _oracle_2d(metric: PolarMetric2D, opts: RunOptions) -> dict:
+    """Report block of the 2-D oracle: the refined-mesh solve and its Richardson estimate."""
+    result, estimate, extrapolated = eigen_2d_refined(metric, Mesh2D(*opts.mesh), opts.tol)
+    return {
+        "lambda1": result.lambda1,
+        "richardson": estimate,
+        "lambda1_extrapolated": extrapolated,
+        "residual": result.residual,
+        "iterations": result.iterations,
+        "mesh": [2 * opts.mesh[0], 2 * opts.mesh[1]],
+    }
+
+
 def cmd_oracle(cfg: ModelConfig, opts: RunOptions) -> tuple[dict, int]:
     report = _blank_report(cfg, opts)
     target = build_target(cfg)
     t0 = time.perf_counter()
     if target.metric is not None:
-        result, estimate, extrapolated = eigen_2d_refined(
-            target.metric, Mesh2D(*opts.mesh), opts.tol
-        )
-        report["oracle"] = {
-            "lambda1": result.lambda1,
-            "richardson": estimate,
-            "lambda1_extrapolated": extrapolated,
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "mesh": [2 * opts.mesh[0], 2 * opts.mesh[1]],
-        }
+        report["oracle"] = _oracle_2d(target.metric, opts)
         report["tolerances"] = {
             "oracle_relative": opts.tol,
-            "oracle_richardson": estimate,
+            "oracle_richardson": report["oracle"]["richardson"],
         }
     else:
         grid = RadialGrid.uniform(cfg.radius, opts.grid)
@@ -448,29 +444,19 @@ def cmd_paper_example(cfg: ModelConfig, opts: RunOptions) -> tuple[dict, int]:
 
         stage = "oracle-2d"
         t0 = time.perf_counter()
-        result, estimate, extrapolated = eigen_2d_refined(
-            metric, Mesh2D(*opts.mesh), opts.tol
-        )
-        report["oracle"] = {
-            "lambda1": result.lambda1,
-            "richardson": estimate,
-            "lambda1_extrapolated": extrapolated,
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "mesh": [2 * opts.mesh[0], 2 * opts.mesh[1]],
-        }
+        oracle = report["oracle"] = _oracle_2d(metric, opts)
         timings[stage] = time.perf_counter() - t0
 
         stage = "sharpness"
         t0 = time.perf_counter()
         deviation = radiality_deviation(metric, grid, opts.m_theta)
         sharp = equality_criterion(metric, grid, opts.m_theta, max(opts.tol, 1e-9))
-        gap = report["bound"] - result.lambda1
+        gap = report["bound"] - oracle["lambda1"]
         report["comparison"] = {
             "area_max_error": area_err,
             "gap": gap,
-            "gap_extrapolated": report["bound"] - extrapolated,
-            "strict_inequality": bool(gap > estimate),
+            "gap_extrapolated": report["bound"] - oracle["lambda1_extrapolated"],
+            "strict_inequality": bool(gap > oracle["richardson"]),
             "radiality": deviation,
             "equality_criterion": bool(sharp),
         }
@@ -562,18 +548,7 @@ def _load_config(args) -> ModelConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(data) - {
-            "name",
-            "dimension",
-            "radius",
-            "kind",
-            "omega",
-            "area",
-            "rho",
-            "builtin",
-            "kappa",
-            "reference_warping",
-        }
+        unknown = set(data) - {f.name for f in fields(ModelConfig)}
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
     if args.builtin:

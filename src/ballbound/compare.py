@@ -8,7 +8,6 @@ symmetrized metric.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +20,9 @@ from .geometry import (
     RiemannianModel,
     WarpingFunction,
     _eval_on,
+    _interior_curvature,
     area_from_polar_metric,
     area_from_warping,
-    mean_curvature_field,
     radiality_deviation,
     space_form_warping,
     warping_from_area,
@@ -170,17 +169,11 @@ def equality_criterion(
     True iff the mean curvature of every interior circle is radial to within
     ``tol`` and its radial value matches w'/w of the symmetrized metric.
     """
-    if radiality_deviation(metric, grid, m_theta) > tol:
+    h = _interior_curvature(metric, grid, m_theta)
+    if np.max(np.ptp(h, axis=1)) > tol:
         return False
-    area = area_from_polar_metric(metric, grid, m_theta)
-    warping = warping_from_area(area)
-    theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
+    warping = warping_from_area(area_from_polar_metric(metric, grid, m_theta))
     interior = grid.nodes[1:-1]
-    w_vals = _eval_on(warping.eval, interior)
-    w_derivs = _eval_on(warping.derivative_eval, interior)
-    target = w_derivs / w_vals  # (n-1) w'/w with n = 2
-    for t, expect in zip(interior, target):
-        h_mean = float(np.mean(mean_curvature_field(metric, float(t), theta)))
-        if abs(h_mean - expect) > tol:
-            return False
-    return True
+    target = _eval_on(warping.derivative_eval, interior) / _eval_on(warping.eval, interior)
+    # (n-1) w'/w with n = 2 against the angular mean of H on each circle
+    return not np.any(np.abs(np.mean(h, axis=1) - target) > tol)

@@ -45,33 +45,17 @@ def unit_sphere_volume(n: int) -> float:
 
 
 def _eval_on(fn: Callable, x) -> np.ndarray:
-    """Evaluate a scalar-or-vectorized callable on an array, looping if needed."""
+    """Evaluate a vectorized callable on an array; the result broadcasts to its shape."""
     arr = np.asarray(x, dtype=float)
-    try:
-        out = np.asarray(fn(arr), dtype=float)
-        if out.shape == arr.shape:
-            return out
-    except Exception:
-        pass
-    flat = np.array([float(fn(v)) for v in arr.ravel()], dtype=float)
-    return flat.reshape(arr.shape)
+    return np.broadcast_to(np.asarray(fn(arr), dtype=float), arr.shape)
 
 
 def _eval_on2(fn: Callable, r, theta) -> np.ndarray:
-    """Two-argument version of :func:`_eval_on` with broadcasting."""
+    """Two-argument version of :func:`_eval_on`, on the broadcast shape of r and theta."""
     rr = np.asarray(r, dtype=float)
     tt = np.asarray(theta, dtype=float)
     shape = np.broadcast_shapes(rr.shape, tt.shape)
-    try:
-        out = np.asarray(fn(rr, tt), dtype=float)
-        if out.shape == shape:
-            return out
-    except Exception:
-        pass
-    rb = np.broadcast_to(rr, shape).ravel()
-    tb = np.broadcast_to(tt, shape).ravel()
-    flat = np.array([float(fn(a, b)) for a, b in zip(rb, tb)], dtype=float)
-    return flat.reshape(shape)
+    return np.broadcast_to(np.asarray(fn(rr, tt), dtype=float), shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +155,13 @@ def space_form_warping(kappa: float, radius: float) -> WarpingFunction:
     )
 
 
+def _require_finite(values: np.ndarray, t: np.ndarray, name="A(t)", error=InvalidAreaError):
+    """Raise ``error`` naming the first t where ``values`` (samples of ``name``) is not finite."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise error(f"{name} is not finite at t = {float(t[bad][0])!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class RiemannianModel:
     """A ball of given radius carrying the metric dr^2 + w(r)^2 dS^2."""
@@ -187,7 +178,10 @@ class RiemannianModel:
         w0 = float(_eval_on(self.warping.eval, 0.0))
         if abs(w0) > 1e-9 * self.radius:
             raise InvalidModelError(f"warping must vanish at 0, got w(0) = {w0}")
-        samples = _eval_on(self.warping.eval, self.radius * _CHECK_FRACTIONS)
+        t_check = self.radius * _CHECK_FRACTIONS
+        with np.errstate(all="ignore"):
+            samples = _eval_on(self.warping.eval, t_check)
+        _require_finite(samples, t_check, "w(t)", InvalidModelError)
         if np.any(samples <= 0.0):
             raise InvalidModelError("warping must be positive on (0, R]")
         t0 = self.radius * 1e-6
@@ -214,7 +208,10 @@ class AreaFunction:
             raise DomainError(f"dimension must be at least 2, got {self.dimension}")
         if self.radius <= 0.0:
             raise DomainError("radius must be positive")
-        probe = _eval_on(self.eval, self.radius * _CHECK_FRACTIONS)
+        t_probe = self.radius * _CHECK_FRACTIONS
+        with np.errstate(all="ignore"):
+            probe = _eval_on(self.eval, t_probe)
+        _require_finite(probe, t_probe)
         a0 = float(_eval_on(self.eval, 0.0))
         if abs(a0) > 1e-9 * max(1.0, float(np.max(np.abs(probe)))):
             raise InvalidAreaError(f"A(0) must vanish, got {a0}")
@@ -334,6 +331,13 @@ def warping_from_area(area: AreaFunction) -> WarpingFunction:
     return WarpingFunction(eval=w_eval, derivative_eval=w_deriv, source=source)
 
 
+def _angles(m_theta: int) -> np.ndarray:
+    """The m_theta uniform angles 2 pi j / m_theta of the periodic trapezoid rule."""
+    if m_theta < 8 or m_theta % 2 != 0:
+        raise DomainError(f"m_theta must be even and at least 8, got {m_theta}")
+    return 2.0 * math.pi * np.arange(m_theta) / m_theta
+
+
 def area_from_polar_metric(
     metric: PolarMetric2D, grid: RadialGrid, m_theta: int
 ) -> AreaFunction:
@@ -342,11 +346,9 @@ def area_from_polar_metric(
     The density is sampled at ``m_theta`` uniform angles per grid node; the
     result interpolates the node values with a shape-preserving cubic.
     """
-    if m_theta < 8 or m_theta % 2 != 0:
-        raise DomainError(f"m_theta must be even and at least 8, got {m_theta}")
+    theta = _angles(m_theta)
     if abs(grid.radius - metric.radius) > 1e-12 * metric.radius:
         raise DomainError("grid radius must match the metric radius")
-    theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
     rho = _eval_on2(metric.density, grid.nodes[1:, None], theta[None, :])
     values = rho.sum(axis=1) * (2.0 * math.pi / m_theta)
     if np.any(values <= 0.0):
@@ -372,19 +374,29 @@ def area_from_polar_metric(
     )
 
 
-def mean_curvature_field(metric: PolarMetric2D, t: float, theta):
+def mean_curvature_field(metric: PolarMetric2D, t, theta):
     """Inward mean curvature H(t, theta) = d/dr log rho at r = t.
 
-    Positive for the Euclidean circle (H = 1/t).  ``theta`` may be an array.
+    Positive for the Euclidean circle (H = 1/t).  ``t`` and ``theta`` may be
+    arrays that broadcast against each other; two scalars give a float.
     """
-    if not 0.0 < t < metric.radius:
-        raise DomainError(f"t must lie strictly inside (0, R), got {t}")
-    rho = _eval_on2(metric.density, t, theta)
-    if np.any(rho <= 0.0):
-        raise InvalidMetricError(f"density is not positive at t = {t}")
-    drho = _eval_on2(metric.density_r, t, theta)
-    out = drho / rho
-    return out if np.ndim(theta) else float(out)
+    tt = np.asarray(t, dtype=float)
+    outside = ~((0.0 < tt) & (tt < metric.radius))
+    if np.any(outside):
+        raise DomainError(f"t must lie strictly inside (0, R), got {float(tt[outside][0])}")
+    rho = _eval_on2(metric.density, tt, theta)
+    bad = rho <= 0.0
+    if np.any(bad):
+        raise InvalidMetricError(
+            f"density is not positive at t = {float(np.broadcast_to(tt, rho.shape)[bad][0])}"
+        )
+    out = _eval_on2(metric.density_r, tt, theta) / rho
+    return out if out.ndim else float(out)
+
+
+def _interior_curvature(metric: PolarMetric2D, grid: RadialGrid, m_theta: int) -> np.ndarray:
+    """H on every interior grid node (rows) and ``m_theta`` uniform angles (columns)."""
+    return mean_curvature_field(metric, grid.nodes[1:-1, None], _angles(m_theta))
 
 
 def radiality_deviation(metric: PolarMetric2D, grid: RadialGrid, m_theta: int) -> float:
@@ -393,26 +405,17 @@ def radiality_deviation(metric: PolarMetric2D, grid: RadialGrid, m_theta: int) -
     Zero (to resolution) means every geodesic circle has radial mean
     curvature, the sharpness condition for the symmetrization bound.
     """
-    if m_theta < 8 or m_theta % 2 != 0:
-        raise DomainError(f"m_theta must be even and at least 8, got {m_theta}")
-    theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
-    worst = 0.0
-    for t in grid.nodes[1:-1]:
-        h = mean_curvature_field(metric, float(t), theta)
-        worst = max(worst, float(np.max(h) - np.min(h)))
-    return worst
+    return float(np.max(np.ptp(_interior_curvature(metric, grid, m_theta), axis=1)))
 
 
 def polar_metric_from_warping(warping: WarpingFunction, radius: float) -> PolarMetric2D:
     """The 2-D polar metric with theta-independent density rho(r, theta) = w(r)."""
 
-    def density(r, theta):
-        return _eval_on(warping.eval, r) + 0.0 * np.asarray(theta, dtype=float)
-
-    def density_r(r, theta):
-        return _eval_on(warping.derivative_eval, r) + 0.0 * np.asarray(theta, dtype=float)
-
-    return PolarMetric2D(radius=radius, density=density, density_r=density_r)
+    return PolarMetric2D(
+        radius=radius,
+        density=lambda r, theta: warping.eval(r),
+        density_r=lambda r, theta: warping.derivative_eval(r),
+    )
 
 
 def euclidean_model(dimension: int, radius: float) -> RiemannianModel:

@@ -33,6 +33,7 @@ from .geometry import (
     RiemannianModel,
     _eval_on,
     _eval_on2,
+    _require_finite,
     area_from_polar_metric,
     unit_sphere_volume,
 )
@@ -75,15 +76,19 @@ class Mesh2D:
 
 
 def _model_area_arrays(model: RiemannianModel, nodes: np.ndarray, h: float):
-    """A(t) at the grid nodes and at step midpoints, validated positive."""
+    """A(t) at the grid nodes and at step midpoints, validated positive and finite."""
     n = model.dimension
     vol = unit_sphere_volume(n)
+    mids = nodes[:-1] + 0.5 * h
     w_nodes = _eval_on(model.warping.eval, nodes)
-    w_mid = _eval_on(model.warping.eval, nodes[:-1] + 0.5 * h)
+    w_mid = _eval_on(model.warping.eval, mids)
     if np.any(w_nodes[1:] <= 0.0) or np.any(w_mid[1:] <= 0.0):
         raise InvalidModelError("warping must stay positive inside the ball")
-    a_nodes = vol * w_nodes ** (n - 1)
-    a_mid = vol * w_mid ** (n - 1)
+    with np.errstate(all="ignore"):
+        a_nodes = vol * w_nodes ** (n - 1)
+        a_mid = vol * w_mid ** (n - 1)
+    _require_finite(a_nodes, nodes)
+    _require_finite(a_mid, mids)
     return a_nodes, a_mid
 
 
@@ -419,13 +424,6 @@ def rayleigh_quotient_2d(
     return num / den
 
 
-def radial_profile_from_model(
-    model: RiemannianModel, grid: RadialGrid, tol: float = 1e-10
-) -> np.ndarray:
-    """Convenience: nodal first eigenfunction of a model, f(0) = 1, f(R) = 0."""
-    return shoot_radial_lambda1(model, grid, tol).eigenfunction
-
-
 __all__ = [
     "EigenResult",
     "Mesh2D",
@@ -434,5 +432,4 @@ __all__ = [
     "eigen_2d_polar",
     "eigen_2d_refined",
     "rayleigh_quotient_2d",
-    "radial_profile_from_model",
 ]

@@ -88,6 +88,26 @@ def wavy_cone_metric(radius: float) -> PolarMetric2D:
         )
 
 
+def counting_metric(metric: PolarMetric2D) -> tuple[PolarMetric2D, list[str]]:
+    """A copy of ``metric`` that logs each call of its density and radial derivative.
+
+    The log starts empty, after the checks the constructor makes.
+    """
+    calls: list[str] = []
+
+    def density(r, theta):
+        calls.append("density")
+        return metric.density(r, theta)
+
+    def density_r(r, theta):
+        calls.append("density_r")
+        return metric.density_r(r, theta)
+
+    copy = PolarMetric2D(radius=metric.radius, density=density, density_r=density_r)
+    calls.clear()
+    return copy, calls
+
+
 def metric_suite() -> list[tuple[str, PolarMetric2D]]:
     """2-D polar metrics used by the desk-scale comparison harness."""
     return [

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from ballbound.cli import REPORT_SCHEMA, main
+from ballbound.exprparse import evaluate
 
 from conftest import J0_SQUARED, PI_SQUARED
 
@@ -220,6 +221,25 @@ class TestConfigFiles:
         assert code == 0
         assert report["bound"] == pytest.approx(J0_SQUARED, abs=1e-3)
 
+    def test_theta_independent_density_is_evaluated_on_arrays(self, tmp_path, monkeypatch):
+        import ballbound.cli as cli
+
+        calls = []
+
+        def counted(tree, bindings):
+            calls.append(bindings)
+            return evaluate(tree, bindings)
+
+        monkeypatch.setattr(cli, "evaluate", counted)
+        cfg = tmp_path / "rho.json"
+        cfg.write_text(json.dumps({"kind": "polar2d", "rho": "r", "radius": 1}))
+        code, report = run_json(tmp_path, "bound", "--config", str(cfg))
+        assert code == 0
+        tol = 1e-8  # the default --tol; combined tolerance as in cheng_report
+        assert abs(report["bound"] - J0_SQUARED) <= 5.0 * tol * J0_SQUARED + tol
+        # a handful of array evaluations, not one per (node, angle) pair
+        assert len(calls) <= 10
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_polar_density_bound_symmetrizes_first(self, tmp_path):
         cfg = tmp_path / "wavy.json"
@@ -320,6 +340,36 @@ class TestOutputsAndCodes:
                 main([command, "--builtin", "euclidean", f"{flag}={value}"])
         assert exc.value.code == 2
         assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "builtin", "builtin": "hyperbolic", "kappa": math.nan},
+            {"kind": "builtin", "builtin": "euclidean", "radius": math.inf},
+            {"kind": "builtin", "builtin": "euclidean", "radius": math.nan},
+            {"kind": "builtin", "builtin": "hyperbolic(-1e999)"},
+        ],
+        ids=["kappa-nan", "radius-inf", "radius-nan", "inline-kappa-overflow"],
+    )
+    def test_non_finite_config_values_are_config_errors(self, tmp_path, config, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))  # json writes NaN / Infinity tokens
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", "--config", str(cfg)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["400", "800"])
+    @pytest.mark.parametrize("command", ["bound", "oracle", "symmetrize", "compare"])
+    def test_overflowing_area_is_invalid_input(self, command, radius, capsys):
+        # sinh(t)^2 overflows near t = 355; sinh(t) itself near t = 710
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                [command, "--builtin", "hyperbolic", "--dimension", "3", "--radius", radius]
+            )
+        assert code == 5
+        assert "is not finite at t =" in capsys.readouterr().err
 
     def test_expression_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -23,7 +23,7 @@ from ballbound import (
 )
 from ballbound.errors import DomainError
 
-from conftest import J0_SQUARED, metric_suite, wavy_cone_metric
+from conftest import J0_SQUARED, counting_metric, metric_suite, wavy_cone_metric
 
 
 class TestMonotonicityCheck:
@@ -159,6 +159,17 @@ class TestEqualityCriterion:
     def test_bumped_disc_inside_flat_region_passes(self):
         grid = RadialGrid.uniform(1.0, 256)
         assert equality_criterion(bumped_disc_metric(1.0), grid, 64, 1e-6)
+
+    @pytest.mark.parametrize("radius,sharp", [(1.0, True), (3.0, False)])
+    def test_density_calls_do_not_grow_with_the_grid(self, radius, sharp):
+        counts = []
+        for intervals in (64, 512):
+            metric, calls = counting_metric(bumped_disc_metric(radius))
+            grid = RadialGrid.uniform(radius, intervals)
+            assert equality_criterion(metric, grid, 64, 1e-6) is sharp
+            counts.append(len(calls))
+        # the curvature field once; a sharp metric also builds its area once
+        assert counts == ([3, 3] if sharp else [2, 2])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_wavy_cone_is_sharp(self, unit_grid):

@@ -26,9 +26,39 @@ from ballbound.errors import (
     InvalidMetricError,
     InvalidModelError,
 )
-from ballbound.geometry import _eval_on
+from ballbound.geometry import _eval_on, _eval_on2
 
-from conftest import bump_curvature_oracle, model_suite, wavy_cone_metric
+from conftest import bump_curvature_oracle, counting_metric, model_suite, wavy_cone_metric
+
+
+class TestEvaluationContract:
+    """Callables take arrays, their results broadcast to the input shape, and
+    their exceptions propagate."""
+
+    @pytest.mark.parametrize(
+        "helper,args",
+        [
+            (_eval_on, (np.linspace(0.0, 1.0, 5),)),
+            (_eval_on2, (np.linspace(0.1, 1.0, 5)[:, None], np.zeros(3))),
+        ],
+        ids=["eval_on", "eval_on2"],
+    )
+    def test_raising_callable_is_called_once(self, helper, args):
+        boom = ValueError("boom")
+        calls = []
+
+        def fail(*xs):
+            calls.append(xs)
+            raise boom
+
+        with pytest.raises(ValueError) as exc:
+            helper(fail, *args)
+        assert exc.value is boom
+        assert len(calls) == 1
+
+    def test_scalar_only_callable_raises(self):
+        with pytest.raises(TypeError):
+            _eval_on(math.sin, np.linspace(0.0, 1.0, 5))
 
 
 class TestUnitSphereVolume:
@@ -179,6 +209,17 @@ class TestMeanCurvature:
             mean_curvature_field(metric, 0.0, 0.0)
         with pytest.raises(DomainError):
             mean_curvature_field(metric, 3.0, 0.0)
+        with pytest.raises(DomainError, match="got 3.0"):
+            mean_curvature_field(metric, np.array([1.0, 3.0])[:, None], np.zeros(4))
+
+    def test_array_radii_match_scalar_calls(self):
+        metric = bumped_disc_metric(3.5)
+        t = np.array([0.5, 2.5, 3.0])
+        theta = np.linspace(0.0, 2.0 * math.pi, 7)
+        field = mean_curvature_field(metric, t[:, None], theta)
+        assert field.shape == (3, 7)
+        for row, ti in zip(field, t):
+            assert np.array_equal(row, mean_curvature_field(metric, float(ti), theta))
 
     def test_space_form_matches_log_derivative(self):
         for kappa, radius in ((0.0, 1.0), (1.0, math.pi / 2), (-1.0, 2.0)):
@@ -223,6 +264,15 @@ class TestRadialityDeviation:
         d1 = radiality_deviation(rotated, grid, 192)
         assert abs(d0 - d1) < 1e-12
 
+    def test_density_calls_do_not_grow_with_the_grid(self):
+        counts = []
+        for intervals in (64, 512):
+            metric, calls = counting_metric(bumped_disc_metric(3.0))
+            assert radiality_deviation(metric, RadialGrid.uniform(3.0, intervals), 64) > 1e-3
+            counts.append(len(calls))
+        # one call each of the density and its radial derivative
+        assert counts == [2, 2]
+
 
 class TestSmallRadiusLaw:
     @pytest.mark.parametrize("label,model", model_suite())
@@ -253,6 +303,14 @@ class TestValidation:
         grid = RadialGrid(1.0, nodes, weights * (1.0 / weights.sum()))
         with pytest.raises(DomainError):
             _ = grid.spacing
+
+    def test_non_finite_area_rejected(self):
+        def area(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t > 0.6, np.inf, 2.0 * math.pi * t)
+
+        with pytest.raises(InvalidAreaError, match="not finite at t = 0.75"):
+            AreaFunction(dimension=2, radius=1.0, eval=area)
 
     def test_degenerate_area_rejected(self):
         with pytest.raises(InvalidAreaError):

@@ -23,7 +23,6 @@ from ballbound import (
     area_from_warping,
 )
 from ballbound.errors import DegenerateProfileError, DomainError
-from ballbound.oracle import radial_profile_from_model
 
 from conftest import J0_SQUARED, PI_SQUARED, metric_suite, model_suite, run_python
 
@@ -212,7 +211,7 @@ class TestRayleighQuotient:
         radius = 3.0
         grid = RadialGrid.uniform(radius, 512)
         model = euclidean_model(2, radius)
-        profile = radial_profile_from_model(model, grid, 1e-10)
+        profile = shoot_radial_lambda1(model, grid, 1e-10).eigenfunction
         quotient = rayleigh_quotient_2d(bumped_disc_metric(radius), grid, profile, 128)
         norm, _, _ = run_until_converged(area_from_warping(model), grid, 1e-10, 200)
         assert quotient == pytest.approx(norm.final, rel=1e-5)
