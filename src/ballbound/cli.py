@@ -64,6 +64,7 @@ from .oracle import Mesh2D, eigen_2d_refined, shoot_radial_lambda1
 
 BUILTINS = ("euclidean", "spherical", "hyperbolic", "paper-example")
 KINDS = ("warping", "area", "polar2d", "builtin")
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}  # by annotation; never bool
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -133,6 +134,12 @@ class ModelConfig:
     reference_warping: str | None = None
 
     def validate(self) -> "ModelConfig":
+        for spec in fields(self):
+            value, kind = getattr(self, spec.name), spec.type.removesuffix(" | None")
+            if value is None and kind != spec.type:
+                continue
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+                raise ConfigError(f"{spec.name} must be {spec.type}, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         provided = {
@@ -568,12 +575,13 @@ def _load_config(args) -> ModelConfig:
             cfg.dimension = args.dimension
         if args.kappa is not None and args.command != "compare":
             cfg.kappa = args.kappa
+    cfg.validate()
     if cfg.kind == "builtin" and cfg.builtin is not None:
         name, _ = _split_builtin(cfg.builtin)
         if name == "paper-example" and args.command != "paper-example":
             if args.radius is None and "radius" not in data:
                 cfg.radius = 3.0
-    return cfg.validate()
+    return cfg
 
 
 def _series_csv(report: dict) -> str:

@@ -22,7 +22,7 @@ class InvalidModelError(BallboundError, ValueError):
 
 
 class BracketError(BallboundError, RuntimeError):
-    """The shooting solver found no sign change of f(R) over the search bracket."""
+    """Within its sweep cap, shooting found no lambda whose f has exactly one zero in (0, R]."""
 
 
 class ConvergenceError(BallboundError, RuntimeError):

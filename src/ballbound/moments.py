@@ -106,6 +106,7 @@ def _require_moment_grid(grid: RadialGrid) -> float:
     return grid.spacing
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compute_moments(area: AreaFunction, grid: RadialGrid, levels: int) -> MomentTable:
     """Build the hierarchy up to level ``levels`` on a uniform grid."""
     if levels < 0:
@@ -172,6 +173,7 @@ def _series(kind: str, ks: list[int], values: list[float], converged: bool) -> E
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_until_converged(
     area: AreaFunction,
     grid: RadialGrid,
@@ -183,7 +185,7 @@ def run_until_converged(
     Returns (norm, center, mass) series.  Stopping uses the relative
     criterion |E(k) - E(k-1)| <= tol * E(k) on all three simultaneously; if
     ``k_max`` levels are exhausted first the series come back flagged
-    unconverged rather than raising.
+    unconverged rather than raising; overflow raises :class:`PrecisionError`.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
@@ -196,6 +198,8 @@ def run_until_converged(
     prev = np.ones_like(a)
     mass_prev = float(w @ (prev * a))
     sq_prev = float(w @ (prev**2 * a))
+    if not math.isfinite(mass_prev + sq_prev):
+        raise PrecisionError(f"the area integral overflows at radius {grid.radius:g}")
 
     norms: list[float] = []
     centers: list[float] = []

@@ -3,8 +3,9 @@
 Two routes to the first Dirichlet eigenvalue:
 
 * a radial shooting solver for rotationally symmetric models, integrating the
-  self-adjoint system (f, A f')' with a fixed-step RK4 sweep and bisecting on
-  the sign of f(R);
+  self-adjoint system (f, A f')' with a fixed-step RK4 sweep, bracketing by
+  the zero count of f (Pryce 1993) and finding the root of f(R) by regula
+  falsi (Anderson-Bjorck 1973, with Brent's minimum step);
 * a finite-volume discretization of the Laplace-Beltrami operator of a 2-D
   polar metric, solved by inverse power iteration on the generalized
   symmetric eigenproblem.
@@ -15,6 +16,7 @@ from one mesh refinement.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ from .errors import (
     DegenerateProfileError,
     DomainError,
     InvalidModelError,
+    PrecisionError,
 )
 from .geometry import (
     PolarMetric2D,
@@ -42,8 +45,7 @@ from .quadrature import derivative_five_point, richardson_estimate, richardson_e
 # First Dirichlet eigenvalue of the unit disc (square of the first J0 zero);
 # only used to scale the default shooting bracket.
 _UNIT_DISC_LAMBDA = 5.783185962946785
-_SCAN_POINTS = 65
-_MAX_DOUBLINGS = 8
+_MAX_BRACKET_SWEEPS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +78,7 @@ class Mesh2D:
 
 
 def _model_area_arrays(model: RiemannianModel, nodes: np.ndarray, h: float):
-    """A(t) at the grid nodes and at step midpoints, validated positive and finite."""
+    """A(t) at the grid nodes and at step midpoints (float lists), positive and finite."""
     n = model.dimension
     vol = unit_sphere_volume(n)
     mids = nodes[:-1] + 0.5 * h
@@ -89,131 +91,115 @@ def _model_area_arrays(model: RiemannianModel, nodes: np.ndarray, h: float):
         a_mid = vol * w_mid ** (n - 1)
     _require_finite(a_nodes, nodes)
     _require_finite(a_mid, mids)
-    return a_nodes, a_mid
+    return a_nodes.tolist(), a_mid.tolist()
 
 
-def _shoot_batch(
-    lambdas: np.ndarray,
-    dimension: int,
-    h: float,
-    a_nodes: np.ndarray,
-    a_mid: np.ndarray,
-) -> np.ndarray:
-    """RK4 sweep of f' = g/A, g' = -lambda A f, vectorized over candidates.
+def _sweep(lam: float, n: int, h: float, a_nodes: list, a_mid: list, keep_path: bool = False):
+    """RK4 sweep of f' = g/A, g' = -lam A f on plain floats.
 
-    Starts from the short series f = 1 - lambda t^2/(2n) at the first node to
-    avoid dividing by A(0) = 0; returns f(R) per candidate.
+    Starts from the series f = 1 - lam t^2/(2n) at the first node (A(0) = 0).
+    Returns f(R), the number of sign changes of f over the nodes of (0, R],
+    and the path f(t_i) when ``keep_path`` is set.
     """
-    lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    n = dimension
     f = 1.0 - lam * h * h / (2.0 * n)
     g = a_nodes[1] * (-lam * h / n)
-    for i in range(1, a_nodes.size - 1):
-        a0 = a_nodes[i]
-        am = a_mid[i]
-        a1 = a_nodes[i + 1]
-        k1f = g / a0
-        k1g = -lam * a0 * f
-        k2f = (g + 0.5 * h * k1g) / am
-        k2g = -lam * am * (f + 0.5 * h * k1f)
-        k3f = (g + 0.5 * h * k2g) / am
-        k3g = -lam * am * (f + 0.5 * h * k2f)
-        k4f = (g + h * k3g) / a1
-        k4g = -lam * a1 * (f + h * k3f)
-        f = f + h * (k1f + 2.0 * k2f + 2.0 * k3f + k4f) / 6.0
-        g = g + h * (k1g + 2.0 * k2g + 2.0 * k3g + k4g) / 6.0
-    return f
-
-
-def _shoot_scalar(
-    lam: float,
-    dimension: int,
-    h: float,
-    a_nodes: list[float],
-    a_mid: list[float],
-    keep_path: bool = False,
-):
-    """Scalar twin of :func:`_shoot_batch` on plain floats (fast in bisection)."""
-    n = dimension
-    f = 1.0 - lam * h * h / (2.0 * n)
-    g = a_nodes[1] * (-lam * h / n)
-    path = None
-    if keep_path:
-        path = [1.0, f]
+    positive = f > 0.0
+    changes = 0 if positive else 1
+    path = [1.0, f] if keep_path else None
     sixth = h / 6.0
     half = 0.5 * h
-    for i in range(1, len(a_nodes) - 1):
-        a0 = a_nodes[i]
-        am = a_mid[i]
-        a1 = a_nodes[i + 1]
+    neg = -lam
+    for a0, am, a1 in zip(a_nodes[1:-1], a_mid[1:], a_nodes[2:]):
         k1f = g / a0
-        k1g = -lam * a0 * f
+        k1g = neg * a0 * f
+        neg_am = neg * am
         k2f = (g + half * k1g) / am
-        k2g = -lam * am * (f + half * k1f)
+        k2g = neg_am * (f + half * k1f)
         k3f = (g + half * k2g) / am
-        k3g = -lam * am * (f + half * k2f)
+        k3g = neg_am * (f + half * k2f)
         k4f = (g + h * k3g) / a1
-        k4g = -lam * a1 * (f + h * k3f)
+        k4g = neg * a1 * (f + h * k3f)
         f = f + sixth * (k1f + 2.0 * (k2f + k3f) + k4f)
         g = g + sixth * (k1g + 2.0 * (k2g + k3g) + k4g)
+        if (f > 0.0) is not positive:
+            positive = not positive
+            changes += 1
         if keep_path:
             path.append(f)
-    return f, path
+    return f, changes, path
+
+
+def _anderson_bjorck(f_new: float, f_old: float) -> float:
+    """Weight for the kept end after two points in a row with f of one sign."""
+    m = 1.0 - f_new / f_old
+    return m if m > 0.0 else 0.5
 
 
 def shoot_radial_lambda1(
     model: RiemannianModel, grid: RadialGrid, tol: float = 1e-10
 ) -> EigenResult:
-    """First Dirichlet eigenvalue of a model by shooting and bisection.
+    """First Dirichlet eigenvalue of a model by shooting from f(0) = 1, f'(0) = 0.
 
-    Integrates outward from f(0) = 1, f'(0) = 0, scans an expanding bracket
-    for the first sign change of f(R), then bisects the eigenvalue to width
-    ``tol``, or until no float lies between the bracket ends.  The residual
-    reported is |f(R)| at the final eigenvalue (f(0) = 1 normalization).
+    By Sturm oscillation a sweep has no zero in (0, R] below lambda1 and one
+    on [lambda1, lambda2): from a = 0 and a Euclidean scale guess b, b doubles
+    while it has no zero, then bisects toward a while it has two or more.
+    Regula falsi with Anderson-Bjorck weights then narrows the root of f(R)
+    to width ``tol``, or until no float lies between the ends, and returns
+    the midpoint.  ``iterations`` counts every RK4 sweep; the residual is
+    |f(R)| at the final eigenvalue.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     h = grid.spacing
-    nodes = grid.nodes
-    a_nodes, a_mid = _model_area_arrays(model, nodes, h)
+    a_nodes, a_mid = _model_area_arrays(model, grid.nodes, h)
     n = model.dimension
 
-    lo = 1e-6
-    hi = 4.0 * n * _UNIT_DISC_LAMBDA / model.radius**2
-    bracket = None
-    for _ in range(_MAX_DOUBLINGS):
-        lams = np.linspace(lo, hi, _SCAN_POINTS)
-        f_end = _shoot_batch(lams, n, h, a_nodes, a_mid)
-        crossings = np.nonzero((f_end[:-1] > 0.0) & (f_end[1:] <= 0.0))[0]
-        if crossings.size:
-            i = int(crossings[0])
-            bracket = (float(lams[i]), float(lams[i + 1]))
-            break
-        hi *= 2.0
-    if bracket is None:
-        raise BracketError(
-            f"f(R) has no sign change for eigenvalue candidates in [{lo:g}, {hi:g}];"
-            " the model may be degenerate or the bracket scale too small"
+    b = 4.0 * n * _UNIT_DISC_LAMBDA / model.radius / model.radius
+    if not sys.float_info.min <= b < math.inf:
+        raise PrecisionError(
+            f"eigenvalue scale {b:g} at radius {model.radius:g} is outside the normal float range"
         )
-
-    a_list = a_nodes.tolist()
-    m_list = a_mid.tolist()
-    a, b = bracket
-    iterations = 0
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            # a and b are adjacent floats: the width cannot shrink further.
+    a, fa, above = 0.0, 1.0, math.inf  # f = 1 on the whole ball at lambda = 0
+    for iterations in range(1, _MAX_BRACKET_SWEEPS + 1):
+        fb, changes, _ = _sweep(b, n, h, a_nodes, a_mid)
+        if changes == 1 and fb <= 0.0:
             break
-        f_mid, _ = _shoot_scalar(mid, n, h, a_list, m_list)
-        iterations += 1
-        if f_mid > 0.0:
-            a = mid
+        if changes == 0 and fb > 0.0:
+            a, fa = b, fb
         else:
-            b = mid
+            above = b
+        b = 2.0 * b if above == math.inf else 0.5 * (a + above)
+    else:
+        raise BracketError(f"no lambda in [{a:g}, {above:g}] has f with one zero in (0, R]")
+
+    # Anderson-Bjorck weights; as in Brent's zeroin, a point keeps at least
+    # tol/2 from the last one, so the far end moves once the root is found.
+    side = -1
+    while b - a > tol:
+        lam = (a * fb - b * fa) / (fb - fa)
+        last = a if side == 1 else b
+        step = 0.5 * tol + 2.0 * math.ulp(last)
+        if abs(lam - last) < step:
+            lam = last + side * step
+        if not a < lam < b:
+            lam = 0.5 * (a + b)
+            if not a < lam < b:
+                break  # a and b are adjacent floats
+        f_lam, _, _ = _sweep(lam, n, h, a_nodes, a_mid)
+        iterations += 1
+        if f_lam > 0.0:
+            if side == 1:
+                fb *= _anderson_bjorck(f_lam, fa)
+            a, fa, side = lam, f_lam, 1
+        elif f_lam < 0.0:
+            if side == -1:
+                fa *= _anderson_bjorck(f_lam, fb)
+            b, fb, side = lam, f_lam, -1
+        else:
+            a = b = lam
     lam1 = 0.5 * (a + b)
 
-    f_end, path = _shoot_scalar(lam1, n, h, a_list, m_list, keep_path=True)
+    f_end, _, path = _sweep(lam1, n, h, a_nodes, a_mid, keep_path=True)
     residual = abs(f_end)
     f = np.asarray(path)
     f[-1] = 0.0
@@ -223,7 +209,7 @@ def shoot_radial_lambda1(
             " refine the grid",
             residual=residual,
         )
-    return EigenResult(lambda1=lam1, eigenfunction=f, iterations=iterations, residual=residual)
+    return EigenResult(lambda1=lam1, eigenfunction=f, iterations=iterations + 1, residual=residual)
 
 
 def splu(matrix):

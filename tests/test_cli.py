@@ -116,6 +116,31 @@ class TestOracle:
         lam = oracle_rep["oracle"]["lambda1"]
         assert abs(bound - lam) <= 1e-3 * lam
 
+    @pytest.mark.parametrize(
+        "command,builtin", [("oracle", "hyperbolic"), ("compare", "euclidean")]
+    )
+    def test_large_hyperbolic_ball(self, tmp_path, command, builtin):
+        # lambda1 >= (n-1)^2/4 = 1 lies far above the Euclidean first guess
+        # 12 j0^2 / R^2 ~ 0.007; this used to exit 4 with a bracket error.
+        # compare shoots its kappa = -1 reference ball; its target is flat so
+        # that the hierarchy converges.
+        code, report = run_json(
+            tmp_path,
+            command,
+            "--builtin", builtin,
+            "--dimension", "3",
+            "--radius", "100",
+            "--kappa", "-1",
+        )
+        assert code == 0
+        if command == "oracle":
+            lam = report["oracle"]["lambda1"]
+        else:
+            lam = report["comparison"]["reference_lambda"]
+        exact = 1.0 + PI_SQUARED / 100.0**2
+        tol = 1e-8
+        assert abs(lam - exact) <= 5.0 * tol * exact + tol
+
 
 class TestCompare:
     def test_flat_versus_hyperbolic(self, tmp_path):
@@ -358,6 +383,47 @@ class TestOutputsAndCodes:
             warnings.simplefilter("error")
             assert main(["oracle", "--config", str(cfg)]) == 1
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("radius", "1"),
+            ("radius", True),
+            ("radius", None),
+            ("kappa", "-1"),
+            ("kappa", False),
+            ("dimension", 2.5),
+            ("dimension", True),
+            ("name", 5),
+            ("builtin", 3),
+        ],
+    )
+    def test_mistyped_config_values_are_config_errors(self, tmp_path, field, value, capsys):
+        # "radius": "1" used to crash with a TypeError, "dimension": 2.5 ran
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "builtin", "builtin": "hyperbolic", field: value}))
+        assert main(["bound", "--config", str(cfg)]) == 1
+        assert f"error: {field} must be " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("oracle", {"kind": "area", "area": "2*pi*t", "radius": 1e200}),
+            ("compare", {"kind": "area", "area": "2*pi*t", "radius": 1e200}),
+            ("bound", {"kind": "warping", "omega": "t", "radius": 1e300}),
+        ],
+        ids=["oracle-area-1e200", "compare-area-1e200", "bound-warping-1e300"],
+    )
+    def test_huge_radius_is_invalid_input(self, tmp_path, command, config, capsys):
+        # the shooting scale 4 n j0^2 / R^2 underflows (R**2 used to raise
+        # OverflowError); the hierarchy's area integrals overflow
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("radius", ["400", "800"])
     @pytest.mark.parametrize("command", ["bound", "oracle", "symmetrize", "compare"])

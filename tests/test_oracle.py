@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import j0, jn_zeros
 
 from ballbound import (
@@ -68,12 +70,45 @@ class TestRadialShooting:
 
     def test_bracket_doubling_reaches_large_eigenvalues(self):
         # strongly negative curvature: lambda1 >= |kappa|/4 = 100 exceeds the
-        # initial bracket 8 j0^2 ~ 46, so the scan must double at least once
+        # first guess 8 j0^2 ~ 46, whose sweep has no zero, so the bracket
+        # must double at least once
         grid = RadialGrid.uniform(1.0, 2048)
         model = space_form_model(2, -400.0, 1.0)
         res = shoot_radial_lambda1(model, grid, 1e-8)
         assert res.lambda1 > 4.0 * 2.0 * J0_SQUARED
         assert res.lambda1 > 100.0
+
+    def test_large_hyperbolic_ball_is_bracketed(self):
+        # lambda1 >= (n-1)^2/4 = 1 lies far above the Euclidean first guess
+        # 12 j0^2 / R^2 ~ 0.007, and lambda1..lambda5 all lie within 0.03 of it
+        radius, tol = 100.0, 1e-8
+        model = space_form_model(3, -1.0, radius)
+        res = shoot_radial_lambda1(model, RadialGrid.uniform(radius, 4096), tol)
+        exact = 1.0 + PI_SQUARED / radius**2
+        assert abs(res.lambda1 - exact) <= 5.0 * tol * exact + tol
+
+    def test_sweep_budget_when_first_guess_is_above_lambda2(self, fine_unit_grid):
+        # the first guess 8 j0^2 ~ 46 exceeds lambda2 = j1^2 ~ 30.5 of the
+        # disc, so its sweep has two zeros and the bracket halves toward 0
+        res = shoot_radial_lambda1(euclidean_model(2, 1.0), fine_unit_grid, 1e-10)
+        assert res.lambda1 == pytest.approx(J0_SQUARED, abs=1e-9)
+        assert res.iterations <= 20
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        kappa=st.floats(-4.0, 4.0),
+        log_radius=st.floats(math.log(1e-3), math.log(20.0)),
+    )
+    def test_three_dimensional_space_forms(self, kappa, log_radius):
+        radius = math.exp(log_radius)
+        assume(kappa <= 0.0 or radius < 0.9 * math.pi / math.sqrt(kappa))
+        model = space_form_model(3, kappa, radius)
+        res = shoot_radial_lambda1(model, RadialGrid.uniform(radius, 1024), 1e-10)
+        exact = PI_SQUARED / radius**2 - kappa
+        assert abs(res.lambda1 - exact) <= 1e-7 * exact
+        f = res.eigenfunction
+        assert np.all(f[:-1] > 0.0) and np.all(np.diff(f) < 0.0)
+        assert res.iterations <= 40
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
     def test_rejects_bad_tolerance(self, unit_grid, tol):
@@ -83,8 +118,8 @@ class TestRadialShooting:
 
     @pytest.mark.parametrize("command", ["oracle", "compare"])
     def test_tiny_radius_terminates(self, command):
-        # At lambda ~ 5.8e8 the float spacing exceeds the bisection width, so
-        # the bisection must stop on adjacent floats.
+        # At lambda ~ 5.8e8 the float spacing exceeds the width 1e-8, so the
+        # root step must stop on adjacent floats.
         proc = run_python(
             "-m", "ballbound.cli", command, "--builtin", "euclidean", "--radius", "1e-4"
         )
