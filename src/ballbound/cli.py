@@ -418,7 +418,7 @@ def cmd_compare(cfg: ModelConfig, opts: RunOptions, kappa_ref, ref_warping: str 
         "oracle_bisection_width": opts.tol,
         "combined": outcome.combined_tolerance,
     }
-    return report, 0
+    return report, 0 if outcome.converged else 3
 
 
 def cmd_paper_example(cfg: ModelConfig, opts: RunOptions) -> tuple[dict, int]:

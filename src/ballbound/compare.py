@@ -49,6 +49,7 @@ class ComparisonReport:
     radiality: float
     verdict: str
     combined_tolerance: float
+    converged: bool  # the hierarchy behind ``bound`` met its tolerance
 
     def to_dict(self) -> dict:
         return {
@@ -131,7 +132,8 @@ def cheng_report(
     general reference model.  The verdict is ``hypothesis-fails`` when the
     area-ratio monotonicity fails, ``equality-candidate`` when the bound,
     the reference eigenvalue, and the radiality test all agree within
-    tolerance, and ``bound-holds`` otherwise.
+    tolerance, and ``bound-holds`` otherwise.  ``converged`` is false when
+    the hierarchy ran out of ``k_max`` levels, so ``bound`` is unsupported.
     """
     n, area_g, deviation = _as_target(target, grid, m_theta)
     ref_model = RiemannianModel(n, grid.radius, _reference_warping(kappa, grid.radius))
@@ -158,6 +160,7 @@ def cheng_report(
         radiality=deviation,
         verdict=verdict,
         combined_tolerance=combined,
+        converged=norm_series.converged,
     )
 
 

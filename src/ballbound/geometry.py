@@ -24,6 +24,7 @@ from .errors import (
     InvalidModelError,
 )
 from .quadrature import (
+    _pchip,
     composite_weights,
     derivative_five_point,
     differentiate_callable,
@@ -312,18 +313,11 @@ def warping_from_area(area: AreaFunction) -> WarpingFunction:
         return (np.clip(a, 0.0, None) / vol) ** (1.0 / (n - 1))
 
     if area.samples is not None:
-        from scipy.interpolate import PchipInterpolator
-
         nodes, values = area.samples
         if np.any(values < 0.0):
             raise InvalidAreaError("sampled area function has negative nodes")
         w_nodes = (values / vol) ** (1.0 / (n - 1))
-        dw = derivative_five_point(w_nodes, float(nodes[1] - nodes[0]))
-        spline = PchipInterpolator(nodes, dw, extrapolate=False)
-
-        def w_deriv(t):
-            return spline(np.clip(np.asarray(t, dtype=float), nodes[0], nodes[-1]))
-
+        w_deriv = _pchip(nodes, derivative_five_point(w_nodes, float(nodes[1] - nodes[0])))
         source = area.source
     else:
         w_deriv = differentiate_callable(w_eval, 0.0, area.radius)
@@ -353,17 +347,15 @@ def area_from_polar_metric(
     values = rho.sum(axis=1) * (2.0 * math.pi / m_theta)
     if np.any(values <= 0.0):
         raise InvalidMetricError("angular quadrature of the density is not positive")
-    from scipy.interpolate import PchipInterpolator
-
     nodes = grid.nodes
     samples = np.concatenate([[0.0], values])
-    spline = PchipInterpolator(nodes, samples, extrapolate=False)
+    spline = _pchip(nodes, samples)
 
     def evaluate(t):
         arr = np.asarray(t, dtype=float)
         if np.any(arr < -1e-12 * grid.radius) or np.any(arr > grid.radius * (1 + 1e-12)):
             raise DomainError("area requested outside [0, R]")
-        return spline(np.clip(arr, 0.0, grid.radius))
+        return spline(arr)
 
     return AreaFunction(
         dimension=2,

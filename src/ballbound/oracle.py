@@ -174,8 +174,9 @@ def shoot_radial_lambda1(
 
     # Anderson-Bjorck weights; as in Brent's zeroin, a point keeps at least
     # tol/2 from the last one, so the far end moves once the root is found.
+    # The relative width only binds when lambda1 < 1e6 tol.
     side = -1
-    while b - a > tol:
+    while b - a > tol or b - a > 1e-6 * a:
         lam = (a * fb - b * fa) / (fb - fa)
         last = a if side == 1 else b
         step = 0.5 * tol + 2.0 * math.ulp(last)
@@ -242,11 +243,18 @@ def build_discrete_laplacian(metric: PolarMetric2D, mesh: Mesh2D):
     rho_face = _eval_on2(metric.density, r_face[:, None], theta[None, :])
     rho_ring = _eval_on2(metric.density, r_ring[:, None], theta[None, :])
     rho_ang = _eval_on2(metric.density, r_ring[:, None], (theta + 0.5 * dth)[None, :])
-    if np.any(rho_face <= 0.0) or np.any(rho_ring <= 0.0) or np.any(rho_ang <= 0.0):
+    rho_center = _eval_on2(metric.density, 0.25 * dr, theta)
+    if any(np.any(rho <= 0.0) for rho in (rho_face, rho_ring, rho_ang, rho_center)):
         raise DomainError("density must be positive on the mesh")
 
-    c_rad = rho_face * dth / dr          # conductance across radial faces
-    c_ang = dr / (dth * rho_ang)         # conductance across angular faces
+    with np.errstate(all="ignore"):
+        c_rad = rho_face * dth / dr          # conductance across radial faces
+        c_ang = dr / (dth * rho_ang)         # conductance across angular faces
+        mass = np.append(rho_ring * dr * dth, np.sum(rho_center) * 0.5 * dr * dth)
+    if not all(np.all((0.0 < v) & (v < math.inf)) for v in (c_rad, c_ang, mass)):
+        raise PrecisionError(
+            f"mesh conductances or masses leave the float range at radius {radius:g}"
+        )
 
     n_ring = (m_r - 1) * m_t
     center = n_ring
@@ -307,11 +315,6 @@ def build_discrete_laplacian(metric: PolarMetric2D, mesh: Mesh2D):
     scale = float(np.max(np.abs(stiffness.data)))
     if defect.nnz and float(np.max(np.abs(defect.data))) > 1e-10 * scale:
         raise AssemblyError("discrete operator is asymmetric beyond rounding")
-
-    mass = np.empty(n_unknown)
-    mass[:n_ring] = (rho_ring * dr * dth).ravel()
-    rho_center = _eval_on2(metric.density, 0.25 * dr, theta)
-    mass[center] = float(np.sum(rho_center) * 0.5 * dr * dth)
     return stiffness, mass
 
 
@@ -335,8 +338,11 @@ def eigen_2d_polar(metric: PolarMetric2D, mesh: Mesh2D, tol: float = 1e-8) -> Ei
     for it in range(1, max_iter + 1):
         bx = mass * x
         y = solve(bx)
-        by = mass * y
-        norm2 = float(y @ by)
+        with np.errstate(over="ignore", invalid="ignore"):
+            by = mass * y
+            norm2 = float(y @ by)
+        if not 0.0 < norm2 < math.inf:
+            raise PrecisionError(f"inverse iteration left the float range in sweep {it}")
         lam_new = float(y @ bx) / norm2
         scale = math.sqrt(norm2)
         y /= scale

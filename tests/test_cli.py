@@ -141,6 +141,27 @@ class TestOracle:
         tol = 1e-8
         assert abs(lam - exact) <= 5.0 * tol * exact + tol
 
+    @pytest.mark.parametrize("radius", ["1e4", "1e5"])
+    def test_eigenvalue_below_the_absolute_tolerance(self, tmp_path, radius):
+        # lambda1 ~ 5.8e-8 (5.8e-10) against tol 1e-8: an absolute width alone
+        # used to stop on a midpoint above lambda1 (exit 4), or on the bracket
+        code, report = run_json(tmp_path, "oracle", "--builtin", "euclidean", "--radius", radius)
+        assert code == 0
+        exact = J0_SQUARED / float(radius) ** 2
+        assert report["oracle"]["lambda1"] == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("radius", [1e150, 1e200])
+    def test_2d_oracle_outside_the_float_range(self, tmp_path, radius, capsys):
+        # at 1e150 inverse iteration overflowed (28 warnings, ZeroDivisionError);
+        # at 1e200 the mesh masses did (500 sweeps, exit 4)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "polar2d", "rho": "r", "radius": radius}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", "--config", str(cfg)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
+
 
 class TestCompare:
     def test_flat_versus_hyperbolic(self, tmp_path):
@@ -174,6 +195,16 @@ class TestCompare:
         )
         assert code == 0
         assert report["comparison"]["verdict"] == "bound-holds"
+
+    def test_unconverged_exit_code(self, tmp_path):
+        # the hierarchy needs more than 200 levels here; compare used to exit
+        # 0 with verdict bound-holds while bound on the same model exits 3
+        args = ("--builtin", "hyperbolic", "--dimension", "3", "--radius", "100")
+        code, report = run_json(tmp_path, "bound", *args)
+        assert code == 3 and report["series"]["converged"] is False
+        code, report = run_json(tmp_path, "compare", *args, "--kappa", "-1")
+        assert code == 3
+        assert report["bound"] == report["comparison"]["bound"] > 0.0
 
 
 class TestPaperExample:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from ballbound.errors import DomainError
 from ballbound.quadrature import (
+    _pchip,
     composite_weights,
     cumulative_integral,
     derivative_five_point,
@@ -68,6 +70,38 @@ def test_differentiate_callable_matches_analytic():
     assert np.max(np.abs(deriv(x) - np.cos(x))) < 1e-11
     assert abs(deriv(0.0) - 1.0) < 1e-11
     assert abs(deriv(1.0) - np.cos(1.0)) < 1e-11
+
+
+@pytest.mark.parametrize("nodes", ["uniform", "non-uniform"])
+@pytest.mark.parametrize("data", ["monotone", "sign-changing", "flat-runs"])
+def test_pchip_equals_scipy_bit_for_bit(nodes, data):
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 9, 65, 257):
+        if nodes == "uniform":
+            x = np.linspace(0.0, rng.uniform(1e-3, 1e3), n)
+        else:
+            x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 2.0, n - 1))])
+        if data == "monotone":
+            y = np.cumsum(rng.exponential(1.0, n)) * rng.choice([-1.0, 1.0])
+        elif data == "sign-changing":
+            y = rng.normal(size=n)
+        else:
+            y = np.repeat(rng.normal(size=n), 3)[:n]  # plateaus of equal values
+        points = np.concatenate([rng.uniform(x[0], x[-1], 500), x])
+        expect = PchipInterpolator(x, y, extrapolate=False)(points)
+        assert np.array_equal(_pchip(x, y)(points), expect)
+        # points outside [x[0], x[-1]] are clamped to it
+        assert np.array_equal(_pchip(x, y)(np.array([-1.0, x[-1] + 1.0])), expect[[-n, -1]])
+
+
+def test_pchip_plateau_of_signed_zeros():
+    # a secant of -0.0 next to one of +0.0 has no sign change, and its
+    # harmonic mean is nan: the zero-secant test must set the slope to 0
+    x = np.arange(6.0)
+    y = np.array([1.0, 0.0, -0.0, 0.0, -0.0, 2.0])
+    points = np.linspace(0.0, 5.0, 101)
+    expect = PchipInterpolator(x, y)(points)
+    assert np.array_equal(_pchip(x, y)(points), expect)
 
 
 def test_richardson_helpers():

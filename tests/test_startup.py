@@ -1,4 +1,4 @@
-"""Start-up cost: radial commands run on numpy alone, scipy loads where it is used."""
+"""Start-up cost: only the 2-D oracle loads scipy (scipy.sparse); all else runs on numpy."""
 import json
 
 from conftest import run_python
@@ -13,6 +13,15 @@ for argv in (
     ["compare", "--builtin", "euclidean", "--kappa", "-1", "--grid", "512"],
     ["oracle", "--config", sys.argv[1], "--grid", "512"],
 ):
+    assert ballbound.cli.main([*argv, "--output", os.devnull]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+POLAR_COMMANDS = """
+import json, os, sys
+import ballbound.cli
+for command in ("bound", "symmetrize", "compare"):
+    argv = [command, "--config", sys.argv[1], "--grid", "256", "--theta", "32"]
     assert ballbound.cli.main([*argv, "--output", os.devnull]) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
@@ -38,6 +47,7 @@ print(json.dumps({
     "module": original.__module__,
     "factor_nnz": factors,
     "sparse_linalg_loaded": "scipy.sparse.linalg" in sys.modules,
+    "interpolate_loaded": "scipy.interpolate" in sys.modules,
 }))
 """
 
@@ -50,6 +60,15 @@ def test_radial_commands_load_no_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+def test_polar_symmetrization_loads_no_scipy(tmp_path):
+    # the area of a 2-D density is interpolated by the package's own PCHIP
+    polar = tmp_path / "polar.json"
+    polar.write_text(json.dumps({"kind": "polar2d", "rho": "r*(1 + 0.3*sin(3*theta))"}))
+    proc = run_python("-c", POLAR_COMMANDS, str(polar))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 def test_2d_oracle_factors_through_module_level_splu():
     proc = run_python("-c", PAPER_EXAMPLE)
     assert proc.returncode == 0, proc.stderr
@@ -57,4 +76,4 @@ def test_2d_oracle_factors_through_module_level_splu():
     assert out["function"] and out["module"] == "ballbound.oracle"
     # eigen_2d_refined factors the mesh and its refinement
     assert len(out["factor_nnz"]) == 2 and min(out["factor_nnz"]) > 0
-    assert out["sparse_linalg_loaded"]
+    assert out["sparse_linalg_loaded"] and not out["interpolate_loaded"]
