@@ -30,7 +30,6 @@ import numpy as np
 
 from .compare import cheng_report, equality_criterion
 from .errors import (
-    AssemblyError,
     BracketError,
     ConfigError,
     ConvergenceError,
@@ -666,7 +665,7 @@ def main(argv=None) -> int:
     except (ExpressionSyntaxError, EvaluationError) as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, ConvergenceError, AssemblyError) as exc:
+    except (BracketError, ConvergenceError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
     except (

@@ -33,10 +33,6 @@ class ConvergenceError(BallboundError, RuntimeError):
         self.residual = residual
 
 
-class AssemblyError(BallboundError, RuntimeError):
-    """The discrete operator came out asymmetric beyond rounding."""
-
-
 class PrecisionError(BallboundError, ArithmeticError):
     """A quantity underflowed or lost all significant digits."""
 

@@ -9,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from scipy.special import jn_zeros
 
 from ballbound import (
+    Mesh2D,
     PolarMetric2D,
     RadialGrid,
     RiemannianModel,
@@ -21,6 +24,7 @@ from ballbound import (
     space_form_model,
     space_form_warping,
 )
+from ballbound.geometry import _eval_on2
 from ballbound.exprparse import (
     BinOp,
     Call,
@@ -117,6 +121,131 @@ def metric_suite() -> list[tuple[str, PolarMetric2D]]:
         ("wavy-cone", wavy_cone_metric(1.0)),
         ("bumped-disc", bumped_disc_metric(3.0)),
     ]
+
+
+def reference_laplacian(metric: PolarMetric2D, mesh: Mesh2D):
+    """The 2-D oracle's finite-volume stiffness matrix (CSR) and mass diagonal, assembled in COO.
+
+    Unknowns sit at rings r_j = j dr (j = 1..M-1), ring by ring, then one
+    center value; the Dirichlet ring at r = R is eliminated.
+    """
+    m_r, m_t = mesh.n_radial, mesh.n_angular
+    radius = metric.radius
+    dr = radius / m_r
+    dth = 2.0 * math.pi / m_t
+    r_ring = dr * np.arange(1, m_r)
+    theta = dth * np.arange(m_t)
+
+    r_face = dr * (np.arange(m_r) + 0.5)
+    rho_face = _eval_on2(metric.density, r_face[:, None], theta[None, :])
+    rho_ring = _eval_on2(metric.density, r_ring[:, None], theta[None, :])
+    rho_ang = _eval_on2(metric.density, r_ring[:, None], (theta + 0.5 * dth)[None, :])
+    rho_center = _eval_on2(metric.density, 0.25 * dr, theta)
+    c_rad = rho_face * dth / dr          # conductance across radial faces
+    c_ang = dr / (dth * rho_ang)         # conductance across angular faces
+    mass = np.append(rho_ring * dr * dth, np.sum(rho_center) * 0.5 * dr * dth)
+
+    n_ring = (m_r - 1) * m_t
+    center = n_ring
+    n_unknown = n_ring + 1
+
+    def idx(j, i):
+        return (j - 1) * m_t + i
+
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+
+    def add(r, c, v):
+        rows.append(np.asarray(r).ravel())
+        cols.append(np.asarray(c).ravel())
+        vals.append(np.asarray(v).ravel())
+
+    jj = np.arange(1, m_r)[:, None]
+    ii = np.arange(m_t)[None, :]
+    here = idx(jj, ii)
+
+    # angular faces between (j, i) and (j, i+1 mod P)
+    there = idx(jj, (ii + 1) % m_t)
+    add(here, there, -c_ang)
+    add(there, here, -c_ang)
+    add(here, here, c_ang)
+    add(there, there, c_ang)
+
+    # radial faces between rings j and j+1 (j = 1..M-2)
+    if m_r > 2:
+        jj_in = np.arange(1, m_r - 1)[:, None]
+        inner = idx(jj_in, ii)
+        outer = idx(jj_in + 1, ii)
+        c_mid = c_rad[1 : m_r - 1, :]
+        add(inner, outer, -c_mid)
+        add(outer, inner, -c_mid)
+        add(inner, inner, c_mid)
+        add(outer, outer, c_mid)
+
+    # center face at r = dr/2 couples the center unknown to ring 1
+    ring1 = idx(1, np.arange(m_t))
+    c0 = c_rad[0, :]
+    add(np.full(m_t, center), ring1, -c0)
+    add(ring1, np.full(m_t, center), -c0)
+    add(ring1, ring1, c0)
+    add(np.full(m_t, center), np.full(m_t, center), c0)
+
+    # Dirichlet face at r = R - dr/2 contributes only to the last ring diagonal
+    last = idx(m_r - 1, np.arange(m_t))
+    add(last, last, c_rad[m_r - 1, :])
+
+    stiffness = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_unknown, n_unknown),
+    ).tocsr()
+    return stiffness, mass
+
+
+def operator_defects(metric: PolarMetric2D, mesh: Mesh2D) -> tuple[float, float, bool]:
+    """How far the matrix-free 2-D stiffness operator is from the reference matrix.
+
+    Returns the relative mismatch of K w against the reference on random unit
+    vectors, the symmetry defect |<u, K v> - <K u, v>| over the largest
+    reference entry, and whether the mass diagonals are equal and positive.
+    """
+    from ballbound import build_discrete_laplacian
+
+    stiffness, mass = build_discrete_laplacian(metric, mesh)
+    reference, reference_mass = reference_laplacian(metric, mesh)
+    u, v = np.random.default_rng(20240601).standard_normal((2, mass.size))
+    u /= np.linalg.norm(u)
+    v /= np.linalg.norm(v)
+    mismatch = max(
+        float(np.linalg.norm(stiffness @ w - reference @ w) / np.linalg.norm(reference @ w))
+        for w in (u, v)
+    )
+    asymmetry = abs(float(u @ (stiffness @ v) - (stiffness @ u) @ v))
+    scale = float(np.max(np.abs(reference.data)))
+    return mismatch, asymmetry / scale, np.array_equal(mass, reference_mass) and bool(np.all(mass > 0))
+
+
+def reference_lambda1(metric: PolarMetric2D, mesh: Mesh2D, tol: float) -> float:
+    """Smallest eigenvalue of the reference matrix pair by inverse iteration on a sparse LU.
+
+    Stops when the eigenvalue is relatively Cauchy at ``tol`` and the relative
+    residual is at most 2 tol.
+    """
+    stiffness, mass = reference_laplacian(metric, mesh)
+    solve = splu(stiffness.tocsc()).solve
+    x = np.ones(mass.size)
+    lam = None
+    for _ in range(500):
+        y = solve(mass * x)
+        lam_new = float(y @ (mass * x)) / float(y @ (mass * y))
+        y /= math.sqrt(float(y @ (mass * y)))
+        residual = np.linalg.norm(stiffness @ y - lam_new * mass * y) / (
+            lam_new * np.linalg.norm(mass * y)
+        )
+        if lam is not None and abs(lam_new - lam) <= tol * lam_new and residual <= 2.0 * tol:
+            return lam_new
+        lam, x = lam_new, y
+    raise AssertionError("reference inverse iteration did not converge")
 
 
 def bump_curvature_oracle(t: float, theta: float) -> float:

@@ -16,7 +16,6 @@ from ballbound import (
     RiemannianModel,
     area_from_polar_metric,
     area_from_warping,
-    build_discrete_laplacian,
     bumped_disc_metric,
     cheng_report,
     compute_moments,
@@ -36,7 +35,14 @@ from ballbound import (
 from ballbound.geometry import _eval_on
 from ballbound.oracle import eigen_2d_refined
 
-from conftest import J0_SQUARED, PI_SQUARED, metric_suite, model_suite, random_expression
+from conftest import (
+    J0_SQUARED,
+    PI_SQUARED,
+    metric_suite,
+    model_suite,
+    operator_defects,
+    random_expression,
+)
 
 
 def _report(number: int, description: str, checks: list[tuple[bool, str]]):
@@ -235,19 +241,17 @@ def test_criterion_9_property_suites():
             shape2_ok = False
     checks.append((shape2_ok, "radial eigenfunctions: flat center, decreasing"))
 
-    # 2-D assembly symmetry at 1e-10
+    # 2-D operator: the reference matrix on random vectors at 1e-14, symmetric at 1e-10
     import warnings
 
     sym_ok = True
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for label, metric in metric_suite():
-            stiffness, _ = build_discrete_laplacian(metric, Mesh2D(24, 24))
-            defect = (stiffness - stiffness.T).tocoo()
-            worst = float(np.max(np.abs(defect.data))) if defect.nnz else 0.0
-            if worst > 1e-10 * float(np.max(np.abs(stiffness.data))):
+            mismatch, asymmetry, mass_ok = operator_defects(metric, Mesh2D(24, 24))
+            if not (mismatch <= 1e-14 and asymmetry <= 1e-10 and mass_ok):
                 sym_ok = False
-    checks.append((sym_ok, "2-D assembly symmetric at 1e-10"))
+    checks.append((sym_ok, "2-D operator equals the assembled matrix, symmetric at 1e-10"))
 
     # expression parser round trip on 1000 random trees
     rng = random.Random(987654321)

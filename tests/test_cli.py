@@ -150,10 +150,23 @@ class TestOracle:
         exact = J0_SQUARED / float(radius) ** 2
         assert report["oracle"]["lambda1"] == pytest.approx(exact, rel=1e-6)
 
-    @pytest.mark.parametrize("radius", [1e150, 1e200])
+    @pytest.mark.parametrize("radius", [1e80, 1e-100, 1e150])
+    def test_2d_oracle_inside_the_float_range(self, tmp_path, radius):
+        # exact power-of-two scaling of masses and conductances keeps the
+        # solver's inner products in range; only lambda1 must be a normal float
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "polar2d", "rho": "r", "radius": radius}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run_json(tmp_path, "oracle", "--config", str(cfg))
+        assert code == 0
+        oracle = report["oracle"]
+        scaled = oracle["lambda1"] * radius * radius
+        assert abs(scaled - J0_SQUARED) <= 2.0 * abs(oracle["richardson"]) * radius * radius
+
+    @pytest.mark.parametrize("radius", [1e180, 1e200, 1e-160])
     def test_2d_oracle_outside_the_float_range(self, tmp_path, radius, capsys):
-        # at 1e150 inverse iteration overflowed (28 warnings, ZeroDivisionError);
-        # at 1e200 the mesh masses did (500 sweeps, exit 4)
+        # the mesh masses themselves leave the float range
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"kind": "polar2d", "rho": "r", "radius": radius}))
         with warnings.catch_warnings():

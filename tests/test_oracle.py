@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from scipy.special import j0, jn_zeros
 
 from ballbound import (
     Mesh2D,
+    PolarMetric2D,
     RadialGrid,
     RiemannianModel,
-    build_discrete_laplacian,
     bumped_disc_metric,
     eigen_2d_polar,
     eigen_2d_refined,
@@ -24,9 +25,19 @@ from ballbound import (
     space_form_warping,
     area_from_warping,
 )
-from ballbound.errors import DegenerateProfileError, DomainError
+from ballbound import oracle
+from ballbound.errors import ConvergenceError, DegenerateProfileError, DomainError
+from ballbound.geometry import _bump
 
-from conftest import J0_SQUARED, PI_SQUARED, metric_suite, model_suite, run_python
+from conftest import (
+    J0_SQUARED,
+    PI_SQUARED,
+    metric_suite,
+    model_suite,
+    operator_defects,
+    reference_lambda1,
+    run_python,
+)
 
 
 class TestRadialShooting:
@@ -169,12 +180,43 @@ class TestEigen2D:
     @pytest.mark.parametrize("label,metric", metric_suite())
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_assembly_is_symmetric(self, label, metric):
-        stiffness, mass = build_discrete_laplacian(metric, Mesh2D(24, 24))
-        defect = (stiffness - stiffness.T).tocoo()
-        scale = float(np.max(np.abs(stiffness.data)))
-        worst = float(np.max(np.abs(defect.data))) if defect.nnz else 0.0
-        assert worst <= 1e-10 * scale
-        assert np.all(mass > 0.0)
+        # the matrix-free operator against the COO-assembled reference matrix
+        mismatch, asymmetry, mass_ok = operator_defects(metric, Mesh2D(24, 24))
+        assert mismatch <= 1e-14
+        assert asymmetry <= 1e-10
+        assert mass_ok
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from(["wavy", "bump"]),
+        a=st.floats(0.0, 0.99),
+        k=st.integers(1, 6),
+        n=st.sampled_from([32, 64]),
+    )
+    def test_lobpcg_matches_lu_inverse_iteration(self, shape, a, k, n):
+        """LOBPCG against the reference matrix with sparse-LU inverse iteration."""
+        if shape == "wavy":
+            radius = 1.0
+
+            def density(r, th):
+                return np.asarray(r) * (1.0 + a * np.sin(k * np.asarray(th)))
+        else:
+            radius = 3.0
+
+            def density(r, th):
+                return np.asarray(r) + a * _bump(r) * np.cos(k * np.asarray(th))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            metric = PolarMetric2D(radius=radius, density=density)
+        res = eigen_2d_polar(metric, Mesh2D(n, n), 1e-9)
+        assert res.lambda1 == pytest.approx(reference_lambda1(metric, Mesh2D(n, n), 1e-9), rel=1e-10)
+        assert np.all(res.eigenfunction > 0.0)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_LOBPCG_ITERATIONS", 3)
+        with pytest.raises(ConvergenceError):
+            eigen_2d_polar(bumped_disc_metric(3.0), Mesh2D(32, 32), 1e-8)
 
     @pytest.mark.parametrize("label,metric", metric_suite())
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

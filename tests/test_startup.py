@@ -1,7 +1,10 @@
-"""Start-up cost: only the 2-D oracle loads scipy (scipy.sparse); all else runs on numpy."""
+"""Start-up cost: no command loads scipy; everything runs on numpy."""
 import json
+from pathlib import Path
 
 from conftest import run_python
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 RADIAL_COMMANDS = """
 import json, os, sys
@@ -26,29 +29,32 @@ for command in ("bound", "symmetrize", "compare"):
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
-PAPER_EXAMPLE = """
-import inspect, json, os, sys
-import ballbound.cli, ballbound.oracle
+ORACLE_2D_COMMANDS = """
+import json, os, sys
+import ballbound.cli
+for argv in (
+    ["paper-example", "--radius", "1", "--grid", "256", "--theta", "32", "--mesh", "24x24"],
+    ["oracle", "--config", sys.argv[1], "--mesh", "24x24"],
+):
+    assert ballbound.cli.main([*argv, "--output", os.devnull]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
 
-original = ballbound.oracle.splu
-factors = []
-
-def recording_splu(matrix):
-    lu = original(matrix)
-    factors.append(lu.L.nnz + lu.U.nnz)
-    return lu
-
-ballbound.oracle.splu = recording_splu
-argv = ["paper-example", "--radius", "1", "--grid", "256", "--theta", "32",
-        "--mesh", "24x24", "--output", os.devnull]
-assert ballbound.cli.main(argv) == 0
-print(json.dumps({
-    "function": inspect.isfunction(original),
-    "module": original.__module__,
-    "factor_nnz": factors,
-    "sparse_linalg_loaded": "scipy.sparse.linalg" in sys.modules,
-    "interpolate_loaded": "scipy.interpolate" in sys.modules,
-}))
+# perfbench/tracing.py wraps each (module, attribute) of these tables by name
+# after importing ballbound.cli; a name that does not resolve breaks every
+# traced benchmark op.
+TRACED_NAMES = """
+import ast, json, sys
+import ballbound.cli
+tree = ast.parse(open(sys.argv[1], encoding="utf-8").read())
+tables = {
+    target.id: ast.literal_eval(node.value)
+    for node in tree.body if isinstance(node, ast.Assign)
+    for target in node.targets if target.id in ("SPANNED", "COUNTED")
+}
+names = [key for table in tables.values() for key in table]
+missing = [f"{m}.{a}" for m, a in names if not callable(getattr(sys.modules.get(m), a, None))]
+print(json.dumps({"tables": sorted(tables), "names": len(names), "missing": missing}))
 """
 
 
@@ -69,11 +75,18 @@ def test_polar_symmetrization_loads_no_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-def test_2d_oracle_factors_through_module_level_splu():
-    proc = run_python("-c", PAPER_EXAMPLE)
+def test_2d_oracle_loads_no_scipy(tmp_path):
+    # the 2-D eigensolver is numpy only: matrix-free operator, FFT preconditioner, LOBPCG
+    polar = tmp_path / "polar.json"
+    polar.write_text(json.dumps({"kind": "polar2d", "rho": "r*(1 + 0.3*sin(3*theta))"}))
+    proc = run_python("-c", ORACLE_2D_COMMANDS, str(polar))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_benchmark_traced_names_resolve():
+    proc = run_python("-c", TRACED_NAMES, str(TRACING))
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["function"] and out["module"] == "ballbound.oracle"
-    # eigen_2d_refined factors the mesh and its refinement
-    assert len(out["factor_nnz"]) == 2 and min(out["factor_nnz"]) > 0
-    assert out["sparse_linalg_loaded"] and not out["interpolate_loaded"]
+    assert out["tables"] == ["COUNTED", "SPANNED"] and out["names"] > 0
+    assert out["missing"] == []
