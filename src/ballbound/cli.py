@@ -13,18 +13,18 @@ Reports are JSON (default) or CSV.  JSON reports follow
 ``timings`` block.
 
 Exit codes: 0 success, 1 configuration error, 2 usage/expression syntax
-error, 3 estimator did not converge, 4 solver failure (bracket, iteration,
-assembly), 5 invalid model/metric/area input.
+error, 3 estimator did not converge, 4 solver failure (bracket, iteration),
+5 invalid model/metric/area input.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -49,12 +49,13 @@ from .geometry import (
     RadialGrid,
     RiemannianModel,
     _eval_on,
+    _interior_curvature,
+    _spread,
     area_from_polar_metric,
     area_from_warping,
     bumped_disc_metric,
     euclidean_model,
     make_warping,
-    radiality_deviation,
     space_form_model,
     warping_from_area,
 )
@@ -106,39 +107,64 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass
 class RunOptions:
-    grid: int = 4096
-    m_theta: int = 256
-    k_max: int = 200
-    tol: float = 1e-8
-    mesh: tuple[int, int] = (64, 64)
-    output: str | None = None
-    fmt: str = "json"
+    def __init__(
+        self,
+        grid: int = 4096,
+        m_theta: int = 256,
+        k_max: int = 200,
+        tol: float = 1e-8,
+        mesh: tuple[int, int] = (64, 64),
+        output: str | None = None,
+        fmt: str = "json",
+    ):
+        self.grid = grid
+        self.m_theta = m_theta
+        self.k_max = k_max
+        self.tol = tol
+        self.mesh = mesh
+        self.output = output
+        self.fmt = fmt
 
 
-@dataclass
 class ModelConfig:
     """One model specification: a warping/area expression, a 2-D density, or a builtin."""
 
-    name: str = "model"
-    dimension: int = 2
-    radius: float = 1.0
-    kind: str = "builtin"
-    omega: str | None = None
-    area: str | None = None
-    rho: str | None = None
-    builtin: str | None = None
-    kappa: float | None = None
-    reference_warping: str | None = None
+    def __init__(
+        self,
+        name: str = "model",
+        dimension: int = 2,
+        radius: float = 1.0,
+        kind: str = "builtin",
+        omega: str | None = None,
+        area: str | None = None,
+        rho: str | None = None,
+        builtin: str | None = None,
+        kappa: float | None = None,
+        reference_warping: str | None = None,
+    ):
+        self.name = name
+        self.dimension = dimension
+        self.radius = radius
+        self.kind = kind
+        self.omega = omega
+        self.area = area
+        self.rho = rho
+        self.builtin = builtin
+        self.kappa = kappa
+        self.reference_warping = reference_warping
+
+    # field name -> annotation, in declaration order: the accepted config keys,
+    # their validated types and the key order of the report's config.model
+    FIELDS = __init__.__annotations__
 
     def validate(self) -> "ModelConfig":
-        for spec in fields(self):
-            value, kind = getattr(self, spec.name), spec.type.removesuffix(" | None")
-            if value is None and kind != spec.type:
+        for name, annotation in self.FIELDS.items():
+            value, kind = getattr(self, name), annotation.removesuffix(" | None")
+            if value is None and kind != annotation:
                 continue
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
-                raise ConfigError(f"{spec.name} must be {spec.type}, got {value!r}")
+                raise ConfigError(f"{name} must be {annotation}, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         provided = {
@@ -187,15 +213,22 @@ def _split_builtin(spec: str) -> tuple[str, float | None]:
     return m.group(1), kappa
 
 
-@dataclass
 class Target:
     """Resolved model input: exactly one of model / metric / raw area is set."""
 
-    dimension: int
-    radius: float
-    model: RiemannianModel | None = None
-    metric: PolarMetric2D | None = None
-    raw_area: AreaFunction | None = None
+    def __init__(
+        self,
+        dimension: int,
+        radius: float,
+        model: RiemannianModel | None = None,
+        metric: PolarMetric2D | None = None,
+        raw_area: AreaFunction | None = None,
+    ):
+        self.dimension = dimension
+        self.radius = radius
+        self.model = model
+        self.metric = metric
+        self.raw_area = raw_area
 
     def area_on(self, grid: RadialGrid, m_theta: int) -> AreaFunction:
         if self.metric is not None:
@@ -283,7 +316,7 @@ def build_target(cfg: ModelConfig) -> Target:
 def _blank_report(cfg: ModelConfig, opts: RunOptions) -> dict:
     return {
         "config": {
-            "model": asdict(cfg),
+            "model": {name: getattr(cfg, name) for name in cfg.FIELDS},
             "grid": opts.grid,
             "m_theta": opts.m_theta,
             "k_max": opts.k_max,
@@ -455,15 +488,17 @@ def cmd_paper_example(cfg: ModelConfig, opts: RunOptions) -> tuple[dict, int]:
 
         stage = "sharpness"
         t0 = time.perf_counter()
-        deviation = radiality_deviation(metric, grid, opts.m_theta)
-        sharp = equality_criterion(metric, grid, opts.m_theta, max(opts.tol, 1e-9))
+        curvature = _interior_curvature(metric, grid, opts.m_theta)
+        sharp = equality_criterion(
+            metric, grid, opts.m_theta, max(opts.tol, 1e-9), curvature
+        )
         gap = report["bound"] - oracle["lambda1"]
         report["comparison"] = {
             "area_max_error": area_err,
             "gap": gap,
             "gap_extrapolated": report["bound"] - oracle["lambda1_extrapolated"],
             "strict_inequality": bool(gap > oracle["richardson"]),
-            "radiality": deviation,
+            "radiality": _spread(curvature),
             "equality_criterion": bool(sharp),
         }
         timings[stage] = time.perf_counter() - t0
@@ -554,7 +589,7 @@ def _load_config(args) -> ModelConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(data) - {f.name for f in fields(ModelConfig)}
+        unknown = set(data) - set(ModelConfig.FIELDS)
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
     if args.builtin:
@@ -681,12 +716,28 @@ def main(argv=None) -> int:
 
     text = render_report(report, opts.fmt)
     if opts.output:
-        with open(opts.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(opts.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code
 
 
+def run() -> None:
+    """Process entry point of ``ballbound`` and ``python -m ballbound.cli``.
+
+    Once :func:`main` has written its report, the heap is frozen, so the
+    interpreter's final collection at exit skips every object that numpy and
+    ballbound made; ``main`` itself leaves the collector alone.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,8 +8,6 @@ symmetrized metric.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -21,6 +19,7 @@ from .geometry import (
     WarpingFunction,
     _eval_on,
     _interior_curvature,
+    _spread,
     area_from_polar_metric,
     area_from_warping,
     radiality_deviation,
@@ -37,19 +36,33 @@ HYPOTHESIS_FAILS = "hypothesis-fails"
 DEFAULT_SLACK = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Outcome of one bound-versus-reference comparison."""
+    """Outcome of one bound-versus-reference comparison.
 
-    model_id: str
-    bound: float
-    reference_lambda: float
-    monotone_ok: bool
-    ratio_profile: np.ndarray
-    radiality: float
-    verdict: str
-    combined_tolerance: float
-    converged: bool  # the hierarchy behind ``bound`` met its tolerance
+    ``converged`` says whether the hierarchy behind ``bound`` met its tolerance.
+    """
+
+    def __init__(
+        self,
+        model_id: str,
+        bound: float,
+        reference_lambda: float,
+        monotone_ok: bool,
+        ratio_profile: np.ndarray,
+        radiality: float,
+        verdict: str,
+        combined_tolerance: float,
+        converged: bool,
+    ):
+        self.model_id = model_id
+        self.bound = bound
+        self.reference_lambda = reference_lambda
+        self.monotone_ok = monotone_ok
+        self.ratio_profile = ratio_profile
+        self.radiality = radiality
+        self.verdict = verdict
+        self.combined_tolerance = combined_tolerance
+        self.converged = converged
 
     def to_dict(self) -> dict:
         return {
@@ -165,15 +178,21 @@ def cheng_report(
 
 
 def equality_criterion(
-    metric: PolarMetric2D, grid: RadialGrid, m_theta: int, tol: float
+    metric: PolarMetric2D,
+    grid: RadialGrid,
+    m_theta: int,
+    tol: float,
+    curvature: np.ndarray | None = None,
 ) -> bool:
     """Sharpness test for a 2-D metric.
 
     True iff the mean curvature of every interior circle is radial to within
     ``tol`` and its radial value matches w'/w of the symmetrized metric.
+    ``curvature`` is that field on the interior nodes, when the caller already
+    has it from ``_interior_curvature``.
     """
-    h = _interior_curvature(metric, grid, m_theta)
-    if np.max(np.ptp(h, axis=1)) > tol:
+    h = _interior_curvature(metric, grid, m_theta) if curvature is None else curvature
+    if _spread(h) > tol:
         return False
     warping = warping_from_area(area_from_polar_metric(metric, grid, m_theta))
     interior = grid.nodes[1:-1]

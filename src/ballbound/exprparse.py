@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -49,49 +48,45 @@ FUNCTIONS = {
 
 _CMP_OPS = ("<=", ">=", "<", ">")
 
+# Tree nodes are named tuples, so equality ignores the node type; parsed trees
+# still compare as trees, since no two node types share field values (the
+# variable, constant and operator name sets are disjoint).
 
-@dataclass(frozen=True)
-class Num:
+
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expression"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     args: tuple["Expression", ...]
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     op: str
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Piecewise:
+class Piecewise(NamedTuple):
     branches: tuple[tuple[Comparison, "Expression"], ...]
     default: "Expression"
 
@@ -106,8 +101,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -410,8 +404,10 @@ def _eval(node: Expression, env: dict):
 
 
 def _eval_piecewise(node: Piecewise, env: dict):
+    # Only the node's own array variables are broadcast and masked: one it does
+    # not read would multiply every branch's work by that array's size.
     array_keys = [
-        k for k, v in env.items() if isinstance(v, np.ndarray) and v.ndim > 0
+        k for k in free_variables(node) if isinstance(env[k], np.ndarray) and env[k].ndim > 0
     ]
     if not array_keys:
         for cond, value in node.branches:
@@ -421,20 +417,10 @@ def _eval_piecewise(node: Piecewise, env: dict):
 
     shape = np.broadcast_shapes(*(env[k].shape for k in array_keys))
     size = int(np.prod(shape))
-    flat = {
-        k: (
-            np.broadcast_to(v, shape).reshape(-1)
-            if isinstance(v, np.ndarray) and v.ndim > 0
-            else v
-        )
-        for k, v in env.items()
-    }
+    flat = {**env, **{k: np.broadcast_to(env[k], shape).reshape(-1) for k in array_keys}}
 
     def restrict(mask):
-        return {
-            k: (v[mask] if isinstance(v, np.ndarray) and v.ndim > 0 else v)
-            for k, v in flat.items()
-        }
+        return {**flat, **{k: flat[k][mask] for k in array_keys}}
 
     out = np.empty(size)
     remaining = np.ones(size, dtype=bool)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -59,21 +58,15 @@ def _eval_on2(fn: Callable, r, theta) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(rr, tt), dtype=float), shape)
 
 
-@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Ordered sample points on [0, R] with fourth-order quadrature weights."""
 
-    radius: float
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
+    def __init__(self, radius: float, nodes: np.ndarray, weights: np.ndarray):
+        self.radius = radius
+        self.nodes = nodes = np.array(nodes, dtype=float)
+        self.weights = weights = np.array(weights, dtype=float)
         nodes.flags.writeable = False
         weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
         if self.radius <= 0.0:
             raise DomainError("grid radius must be positive")
         if nodes.ndim != 1 or nodes.size < 8 or nodes.size != weights.size:
@@ -109,13 +102,13 @@ class RadialGrid:
         return self.nodes.size - 1
 
 
-@dataclass(frozen=True, eq=False)
 class WarpingFunction:
     """Radial profile w(t) of a rotationally symmetric metric, with derivative."""
 
-    eval: Callable
-    derivative_eval: Callable
-    source: str = CLOSED_FORM
+    def __init__(self, eval: Callable, derivative_eval: Callable, source: str = CLOSED_FORM):
+        self.eval = eval
+        self.derivative_eval = derivative_eval
+        self.source = source
 
 
 def make_warping(
@@ -163,15 +156,13 @@ def _require_finite(values: np.ndarray, t: np.ndarray, name="A(t)", error=Invali
         raise error(f"{name} is not finite at t = {float(t[bad][0])!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class RiemannianModel:
     """A ball of given radius carrying the metric dr^2 + w(r)^2 dS^2."""
 
-    dimension: int
-    radius: float
-    warping: WarpingFunction
-
-    def __post_init__(self):
+    def __init__(self, dimension: int, radius: float, warping: WarpingFunction):
+        self.dimension = dimension
+        self.radius = radius
+        self.warping = warping
         if self.dimension < 2:
             raise DomainError(f"dimension must be at least 2, got {self.dimension}")
         if self.radius <= 0.0:
@@ -194,17 +185,22 @@ class RiemannianModel:
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
 
-@dataclass(frozen=True, eq=False)
 class AreaFunction:
     """Evaluator for the geodesic-sphere area A(t) of an n-dimensional ball."""
 
-    dimension: int
-    radius: float
-    eval: Callable
-    source: str = CLOSED_FORM
-    samples: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        dimension: int,
+        radius: float,
+        eval: Callable,
+        source: str = CLOSED_FORM,
+        samples: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        self.dimension = dimension
+        self.radius = radius
+        self.eval = eval
+        self.source = source
+        self.samples = samples
         if self.dimension < 2:
             raise DomainError(f"dimension must be at least 2, got {self.dimension}")
         if self.radius <= 0.0:
@@ -235,19 +231,17 @@ class AreaFunction:
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
 
-@dataclass(frozen=True, eq=False)
 class PolarMetric2D:
     """Angular density rho(r, theta) = sqrt(det G) of a 2-D metric on a disc."""
 
-    radius: float
-    density: Callable
-    density_r: Callable | None = None
-
-    def __post_init__(self):
+    def __init__(self, radius: float, density: Callable, density_r: Callable | None = None):
+        self.radius = radius
+        self.density = density
         if self.radius <= 0.0:
             raise DomainError("radius must be positive")
-        if self.density_r is None:
-            object.__setattr__(self, "density_r", _fd_density_r(self.density, self.radius))
+        if density_r is None:
+            density_r = _fd_density_r(density, radius)
+        self.density_r = density_r
         theta = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
         radii = self.radius * _CHECK_FRACTIONS
         vals = _eval_on2(self.density, radii[:, None], theta[None, :])
@@ -397,7 +391,12 @@ def radiality_deviation(metric: PolarMetric2D, grid: RadialGrid, m_theta: int) -
     Zero (to resolution) means every geodesic circle has radial mean
     curvature, the sharpness condition for the symmetrization bound.
     """
-    return float(np.max(np.ptp(_interior_curvature(metric, grid, m_theta), axis=1)))
+    return _spread(_interior_curvature(metric, grid, m_theta))
+
+
+def _spread(h: np.ndarray) -> float:
+    """Largest max - min of a curvature field along its rows (circles)."""
+    return float(np.max(np.ptp(h, axis=1)))
 
 
 def polar_metric_from_warping(warping: WarpingFunction, radius: float) -> PolarMetric2D:

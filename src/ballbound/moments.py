@@ -19,7 +19,7 @@ reinstate it exactly in exponent arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ MASS_RATIO = "mass-ratio"
 _MIN_INTERVALS = 16
 
 
-@dataclass(frozen=True, eq=False)
 class MomentTable:
     """Renormalized moment levels on a grid plus accumulated log rescale factors.
 
@@ -43,13 +42,12 @@ class MomentTable:
     exp(log_scale[k]) * levels[k].
     """
 
-    grid: RadialGrid
-    levels: np.ndarray
-    log_scale: np.ndarray
-
-    def __post_init__(self):
-        self.levels.flags.writeable = False
-        self.log_scale.flags.writeable = False
+    def __init__(self, grid: RadialGrid, levels: np.ndarray, log_scale: np.ndarray):
+        self.grid = grid
+        self.levels = levels
+        self.log_scale = log_scale
+        levels.flags.writeable = False
+        log_scale.flags.writeable = False
 
     @property
     def top_level(self) -> int:
@@ -61,8 +59,7 @@ class MomentTable:
         return self.levels[k]
 
 
-@dataclass(frozen=True)
-class EstimateSeries:
+class EstimateSeries(NamedTuple):
     """One eigenvalue-estimator sequence with its stopping metadata."""
 
     kind: str

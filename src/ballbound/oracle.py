@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,30 +48,26 @@ _MAX_BRACKET_SWEEPS = 64
 _MAX_LOBPCG_ITERATIONS = 500
 
 
-@dataclass(frozen=True, eq=False)
 class EigenResult:
     """First eigenvalue plus the eigenfunction samples that produced it."""
 
-    lambda1: float
-    eigenfunction: np.ndarray
-    iterations: int
-    residual: float
+    def __init__(self, lambda1: float, eigenfunction: np.ndarray, iterations: int, residual: float):
+        self.lambda1 = lambda1
+        self.eigenfunction = eigenfunction
+        self.iterations = iterations
+        self.residual = residual
 
 
-@dataclass(frozen=True)
 class Mesh2D:
     """Polar mesh: ``n_radial`` radial intervals, ``n_angular`` uniform angles."""
 
-    n_radial: int
-    n_angular: int
-
-    def __post_init__(self):
-        if self.n_radial < 16:
-            raise DomainError(f"need at least 16 radial intervals, got {self.n_radial}")
-        if self.n_angular < 16 or self.n_angular % 2 != 0:
-            raise DomainError(
-                f"need an even number >= 16 of angles, got {self.n_angular}"
-            )
+    def __init__(self, n_radial: int, n_angular: int):
+        if n_radial < 16:
+            raise DomainError(f"need at least 16 radial intervals, got {n_radial}")
+        if n_angular < 16 or n_angular % 2 != 0:
+            raise DomainError(f"need an even number >= 16 of angles, got {n_angular}")
+        self.n_radial = n_radial
+        self.n_angular = n_angular
 
     def refined(self) -> "Mesh2D":
         return Mesh2D(2 * self.n_radial, 2 * self.n_angular)
@@ -222,7 +217,6 @@ def splu(matrix):
     return scipy_splu(matrix)
 
 
-@dataclass(frozen=True, eq=False)
 class PolarStiffness:
     """Flux-form stiffness K of -Laplace on a polar mesh, applied matrix-free.
 
@@ -234,8 +228,9 @@ class PolarStiffness:
     so K is symmetric by construction.
     """
 
-    radial: np.ndarray
-    angular: np.ndarray
+    def __init__(self, radial: np.ndarray, angular: np.ndarray):
+        self.radial = radial
+        self.angular = angular
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         rings = u[:-1].reshape(self.angular.shape)

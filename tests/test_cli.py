@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from ballbound.cli import REPORT_SCHEMA, main
 from ballbound.exprparse import evaluate
 
-from conftest import J0_SQUARED, PI_SQUARED
+from conftest import J0_SQUARED, PI_SQUARED, run_python
 
 
 def run_cli(tmp_path, *args):
@@ -496,3 +497,63 @@ class TestOutputsAndCodes:
             ["bound", "--builtin", "spherical(1.0)", "--radius", "3.2", "--grid", "64"]
         )
         assert code == 5
+
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code = main(["bound", "--builtin", "euclidean", "--grid", "64", "--output", str(target)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+        assert not target.exists()
+
+
+class TestProcessEntry:
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["bound", "--builtin", "euclidean", "--grid", "64",
+                     "--output", str(tmp_path / "r.json")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_process_entry_freezes_the_heap(self):
+        script = (
+            "import atexit, gc, sys; from ballbound.cli import run;"
+            " atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr));"
+            " sys.argv[1:] = ['bound', '--builtin', 'euclidean', '--grid', '64', '--format', 'csv'];"
+            " run()"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0
+        assert proc.stderr == "True\n"
+
+    @pytest.mark.parametrize(
+        "args,config,expected",
+        [
+            (["bound", "--builtin", "euclidean", "--grid", "64"], None, 0),
+            (["bound", "--builtin", "euclidean", "--grid", "64", "--format", "csv"], None, 0),
+            (["bound", "--builtin", "nosuch"], None, 1),
+            (["bound"], {"kind": "warping", "omega": "sin(q)", "radius": 1.0}, 2),
+            (["bound", "--builtin", "euclidean", "--grid", "64", "--kmax", "2",
+              "--tol", "1e-14"], None, 3),
+            (["bound", "--builtin", "spherical(1.0)", "--radius", "3.2", "--grid", "64"],
+             None, 5),
+        ],
+        ids=["ok-file", "ok-stdout", "exit-1", "exit-2", "exit-3", "exit-5"],
+    )
+    def test_module_process_matches_main(self, tmp_path, capsys, args, config, expected):
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            args = [*args, "--config", str(tmp_path / "c.json")]
+        to_file = "csv" not in args
+        outputs = [tmp_path / "in.json", tmp_path / "out.json"]
+        extra = [["--output", str(p)] if to_file else [] for p in outputs]
+        code = main([*args, *extra[0]])
+        captured = capsys.readouterr()
+        proc = run_python("-m", "ballbound.cli", *args, *extra[1])
+        assert code == expected
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+        assert outputs[0].exists() == outputs[1].exists() == (to_file and code in (0, 3))
+        if outputs[0].exists():
+            reports = [json.loads(p.read_text()) for p in outputs]
+            for report in reports:
+                del report["timings"]
+            assert reports[0] == reports[1]

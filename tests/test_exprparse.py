@@ -122,6 +122,38 @@ class TestPiecewise:
                 scalar = evaluate(tree, {"r": float(r[i, 0]), "theta": float(theta[0, j])})
                 assert grid[i, j] == pytest.approx(scalar, rel=1e-15)
 
+    def test_own_variables_match_full_broadcast_bit_for_bit(self):
+        # a piecewise broadcasts and masks only the arrays it reads; its
+        # values must equal those on bindings broadcast to the full grid
+        rng = random.Random(20261018)
+        shape = (9, 6)
+        small = {
+            "t": np.linspace(0.1, 2.0, 6)[None, :],
+            "r": np.linspace(0.05, 3.0, 9)[:, None],
+            "theta": np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)[None, :],
+            "R": 3.0,
+            "kappa": -1.0,
+        }
+        full = {
+            k: np.broadcast_to(v, shape).copy() if isinstance(v, np.ndarray) else v
+            for k, v in small.items()
+        }
+        compared = 0
+        while compared < 200:
+            tree = random_expression(rng)
+            if "piecewise" not in format_expression(tree):
+                continue
+            try:
+                expected = np.broadcast_to(evaluate(tree, full), shape)
+            except EvaluationError as exc:
+                with pytest.raises(EvaluationError) as info:
+                    evaluate(tree, small)
+                assert str(info.value) == str(exc)
+                continue
+            got = np.broadcast_to(evaluate(tree, small), shape)
+            assert got.tobytes() == expected.tobytes(), format_expression(tree)
+            compared += 1
+
 
 class TestErrors:
     def test_unknown_identifier_with_offset(self):

@@ -58,6 +58,13 @@ print(json.dumps({"tables": sorted(tables), "names": len(names), "missing": miss
 """
 
 
+def test_cli_import_loads_no_dataclasses():
+    # record classes are named tuples or plain classes: no code generation at import
+    proc = run_python("-c", "import sys, ballbound.cli; print('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_radial_commands_load_no_scipy(tmp_path):
     area = tmp_path / "area.json"
     area.write_text(json.dumps({"kind": "area", "area": "2*pi*sinh(t)", "radius": 1.0}))
