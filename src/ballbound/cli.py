@@ -10,7 +10,17 @@ paper-example   one-shot reproduction of the built-in bumped-disc example
 
 Reports are JSON (default) or CSV.  JSON reports follow
 :data:`REPORT_SCHEMA`; two runs with the same inputs differ only in the
-``timings`` block.
+``timings`` block.  Each subcommand runs in named stages; ``timings`` holds
+the wall seconds of each stage and ``total``, their sum:
+
+bound           symmetrize, moments
+oracle          oracle
+symmetrize      symmetrize
+compare         compare
+paper-example   metric, area-check, bound, oracle-2d, sharpness
+
+An error raised inside a stage names it, e.g. ``invalid input: stage
+'oracle' failed: ...``.
 
 Exit codes: 0 success, 1 configuration error, 2 usage/expression syntax
 error, 3 estimator did not converge, 4 solver failure (bracket, iteration),
@@ -19,6 +29,7 @@ error, 3 estimator did not converge, 4 solver failure (bracket, iteration),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
@@ -52,7 +63,7 @@ from .geometry import (
     _interior_curvature,
     _spread,
     area_from_polar_metric,
-    area_from_warping,
+    area_of,
     bumped_disc_metric,
     euclidean_model,
     make_warping,
@@ -105,26 +116,6 @@ REPORT_SCHEMA = {
         "tolerances": {"type": "object"},
     },
 }
-
-
-class RunOptions:
-    def __init__(
-        self,
-        grid: int = 4096,
-        m_theta: int = 256,
-        k_max: int = 200,
-        tol: float = 1e-8,
-        mesh: tuple[int, int] = (64, 64),
-        output: str | None = None,
-        fmt: str = "json",
-    ):
-        self.grid = grid
-        self.m_theta = m_theta
-        self.k_max = k_max
-        self.tol = tol
-        self.mesh = mesh
-        self.output = output
-        self.fmt = fmt
 
 
 class ModelConfig:
@@ -213,44 +204,6 @@ def _split_builtin(spec: str) -> tuple[str, float | None]:
     return m.group(1), kappa
 
 
-class Target:
-    """Resolved model input: exactly one of model / metric / raw area is set."""
-
-    def __init__(
-        self,
-        dimension: int,
-        radius: float,
-        model: RiemannianModel | None = None,
-        metric: PolarMetric2D | None = None,
-        raw_area: AreaFunction | None = None,
-    ):
-        self.dimension = dimension
-        self.radius = radius
-        self.model = model
-        self.metric = metric
-        self.raw_area = raw_area
-
-    def area_on(self, grid: RadialGrid, m_theta: int) -> AreaFunction:
-        if self.metric is not None:
-            return area_from_polar_metric(self.metric, grid, m_theta)
-        if self.model is not None:
-            return area_from_warping(self.model)
-        return self.raw_area
-
-    def as_model(self, grid: RadialGrid, m_theta: int) -> RiemannianModel:
-        if self.model is not None:
-            return self.model
-        area = self.area_on(grid, m_theta)
-        return RiemannianModel(self.dimension, self.radius, warping_from_area(area))
-
-    def comparison_object(self):
-        if self.metric is not None:
-            return self.metric
-        if self.model is not None:
-            return self.model
-        return self.raw_area
-
-
 def _expression_tree(source: str, allowed: set[str]):
     tree = parse(source)
     stray = free_variables(tree) - allowed - {"R", "kappa"}
@@ -261,8 +214,8 @@ def _expression_tree(source: str, allowed: set[str]):
     return tree
 
 
-def build_target(cfg: ModelConfig) -> Target:
-    """Materialize geometry objects from a validated config."""
+def build_target(cfg: ModelConfig) -> RiemannianModel | PolarMetric2D | AreaFunction:
+    """Materialize the geometry object of a validated config: a model, a 2-D metric or an area."""
     kappa = cfg.kappa if cfg.kappa is not None else 0.0
     radius = cfg.radius
     if cfg.kind == "warping":
@@ -271,16 +224,14 @@ def build_target(cfg: ModelConfig) -> Target:
         def w_fn(t):
             return evaluate(tree, {"t": t, "R": radius, "kappa": kappa})
 
-        model = RiemannianModel(cfg.dimension, radius, make_warping(w_fn, radius))
-        return Target(cfg.dimension, radius, model=model)
+        return RiemannianModel(cfg.dimension, radius, make_warping(w_fn, radius))
     if cfg.kind == "area":
         tree = _expression_tree(cfg.area, {"t"})
 
         def a_fn(t):
             return evaluate(tree, {"t": t, "R": radius, "kappa": kappa})
 
-        area = AreaFunction(dimension=cfg.dimension, radius=radius, eval=a_fn)
-        return Target(cfg.dimension, radius, raw_area=area)
+        return AreaFunction(dimension=cfg.dimension, radius=radius, eval=a_fn)
     if cfg.kind == "polar2d":
         tree = _expression_tree(cfg.rho, {"r", "theta"})
 
@@ -288,11 +239,11 @@ def build_target(cfg: ModelConfig) -> Target:
             return evaluate(tree, {"r": r, "theta": theta, "R": radius, "kappa": kappa})
 
         metric = PolarMetric2D(radius=radius, density=rho_fn)
-        return Target(2, radius, metric=metric)
+        return metric
 
     name, inline_kappa = _split_builtin(cfg.builtin)
     if name == "euclidean":
-        return Target(cfg.dimension, radius, model=euclidean_model(cfg.dimension, radius))
+        return euclidean_model(cfg.dimension, radius)
     if name in ("spherical", "hyperbolic"):
         default = 1.0 if name == "spherical" else -1.0
         if inline_kappa is not None:
@@ -303,34 +254,30 @@ def build_target(cfg: ModelConfig) -> Target:
             raise ConfigError("the spherical builtin needs kappa > 0")
         if name == "hyperbolic" and kappa >= 0.0:
             raise ConfigError("the hyperbolic builtin needs kappa < 0")
-        return Target(
-            cfg.dimension, radius, model=space_form_model(cfg.dimension, kappa, radius)
-        )
-    return Target(2, radius, metric=bumped_disc_metric(radius))
+        return space_form_model(cfg.dimension, kappa, radius)
+    return bumped_disc_metric(radius)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _blank_report(cfg: ModelConfig, opts: RunOptions) -> dict:
-    return {
-        "config": {
-            "model": {name: getattr(cfg, name) for name in cfg.FIELDS},
-            "grid": opts.grid,
-            "m_theta": opts.m_theta,
-            "k_max": opts.k_max,
-            "tol": opts.tol,
-            "mesh": list(opts.mesh),
-        },
-        "series": None,
-        "bound": None,
-        "oracle": None,
-        "comparison": None,
-        "table": None,
-        "timings": {},
-        "tolerances": {},
-    }
+class Stages(dict):
+    """Wall seconds of each named stage of one command, in the order they ran.
+
+    ``with stage("name"):`` times one stage.  An exception raised inside it
+    gets the prefix ``stage '<name>' failed: ``, so the error names its stage.
+    """
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        except Exception as exc:
+            exc.args = (f"stage '{name}' failed: {exc}",)
+            raise
+        self[name] = time.perf_counter() - start
 
 
 def _series_block(norm, center, mass) -> dict:
@@ -338,159 +285,140 @@ def _series_block(norm, center, mass) -> dict:
         "norm": list(norm.values),
         "center": list(center.values),
         "mass": list(mass.values),
-        "norm_k_start": norm.ks[0] if norm.ks else 0,
-        "center_k_start": center.ks[0] if center.ks else 1,
-        "mass_k_start": mass.ks[0] if mass.ks else 1,
+        "norm_k_start": norm.ks[0],
+        "center_k_start": center.ks[0],
+        "mass_k_start": mass.ks[0],
         "finals": {"norm": norm.final, "center": center.final, "mass": mass.final},
         "rates": {"norm": norm.rate, "center": center.rate, "mass": mass.rate},
         "converged": norm.converged and center.converged and mass.converged,
     }
 
 
-def cmd_bound(cfg: ModelConfig, opts: RunOptions) -> tuple[dict, int]:
-    report = _blank_report(cfg, opts)
-    grid = RadialGrid.uniform(cfg.radius, opts.grid)
+def cmd_bound(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
+    grid = RadialGrid.uniform(cfg.radius, args.grid)
     target = build_target(cfg)
-    t0 = time.perf_counter()
-    area = target.area_on(grid, opts.m_theta)
-    t1 = time.perf_counter()
-    norm, center, mass = run_until_converged(area, grid, opts.tol, opts.k_max)
-    t2 = time.perf_counter()
+    with stage("symmetrize"):
+        area = area_of(target, grid, args.theta)
+    with stage("moments"):
+        norm, center, mass = run_until_converged(area, grid, args.tol, args.kmax)
     report["series"] = _series_block(norm, center, mass)
     report["bound"] = norm.final
-    report["timings"] = {"symmetrize": t1 - t0, "moments": t2 - t1, "total": t2 - t0}
-    report["tolerances"] = {"estimator_relative_cauchy": opts.tol}
-    return report, 0 if report["series"]["converged"] else 3
+    report["tolerances"] = {"estimator_relative_cauchy": args.tol}
+    return 0 if report["series"]["converged"] else 3
 
 
-def _oracle_2d(metric: PolarMetric2D, opts: RunOptions) -> dict:
+def _oracle_2d(metric: PolarMetric2D, args) -> dict:
     """Report block of the 2-D oracle: the refined-mesh solve and its Richardson estimate."""
-    result, estimate, extrapolated = eigen_2d_refined(metric, Mesh2D(*opts.mesh), opts.tol)
+    result, estimate, extrapolated = eigen_2d_refined(metric, Mesh2D(*args.mesh), args.tol)
     return {
         "lambda1": result.lambda1,
         "richardson": estimate,
         "lambda1_extrapolated": extrapolated,
         "residual": result.residual,
         "iterations": result.iterations,
-        "mesh": [2 * opts.mesh[0], 2 * opts.mesh[1]],
+        "mesh": [2 * args.mesh[0], 2 * args.mesh[1]],
     }
 
 
-def cmd_oracle(cfg: ModelConfig, opts: RunOptions) -> tuple[dict, int]:
-    report = _blank_report(cfg, opts)
+def cmd_oracle(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
     target = build_target(cfg)
-    t0 = time.perf_counter()
-    if target.metric is not None:
-        report["oracle"] = _oracle_2d(target.metric, opts)
-        report["tolerances"] = {
-            "oracle_relative": opts.tol,
-            "oracle_richardson": report["oracle"]["richardson"],
-        }
-    else:
-        grid = RadialGrid.uniform(cfg.radius, opts.grid)
-        model = target.as_model(grid, opts.m_theta)
-        result = shoot_radial_lambda1(model, grid, opts.tol)
-        report["oracle"] = {
-            "lambda1": result.lambda1,
-            "richardson": None,
-            "residual": result.residual,
-            "iterations": result.iterations,
-        }
-        report["tolerances"] = {"oracle_bisection_width": opts.tol}
-    report["timings"] = {"oracle": time.perf_counter() - t0, "total": time.perf_counter() - t0}
-    return report, 0
+    with stage("oracle"):
+        if isinstance(target, PolarMetric2D):
+            report["oracle"] = _oracle_2d(target, args)
+            report["tolerances"] = {
+                "oracle_relative": args.tol,
+                "oracle_richardson": report["oracle"]["richardson"],
+            }
+        else:
+            grid = RadialGrid.uniform(cfg.radius, args.grid)
+            if isinstance(target, AreaFunction):
+                target = RiemannianModel(target.dimension, target.radius, warping_from_area(target))
+            result = shoot_radial_lambda1(target, grid, args.tol)
+            report["oracle"] = {
+                "lambda1": result.lambda1,
+                "richardson": None,
+                "residual": result.residual,
+                "iterations": result.iterations,
+            }
+            report["tolerances"] = {"oracle_bisection_width": args.tol}
+    return 0
 
 
-def cmd_symmetrize(cfg: ModelConfig, opts: RunOptions) -> tuple[dict, int]:
-    report = _blank_report(cfg, opts)
-    grid = RadialGrid.uniform(cfg.radius, opts.grid)
+def cmd_symmetrize(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
+    grid = RadialGrid.uniform(cfg.radius, args.grid)
     target = build_target(cfg)
-    t0 = time.perf_counter()
-    area = target.area_on(grid, opts.m_theta)
-    warping = warping_from_area(area)
-    report["table"] = {
-        "t": [float(x) for x in grid.nodes],
-        "area": [float(x) for x in _eval_on(area.eval, grid.nodes)],
-        "omega": [float(x) for x in _eval_on(warping.eval, grid.nodes)],
-    }
-    report["timings"] = {"symmetrize": time.perf_counter() - t0, "total": time.perf_counter() - t0}
+    with stage("symmetrize"):
+        area = area_of(target, grid, args.theta)
+        warping = warping_from_area(area)
+        report["table"] = {
+            "t": [float(x) for x in grid.nodes],
+            "area": [float(x) for x in _eval_on(area.eval, grid.nodes)],
+            "omega": [float(x) for x in _eval_on(warping.eval, grid.nodes)],
+        }
     report["tolerances"] = {"theta_quadrature": "trapezoid, spectral for periodic densities"}
-    return report, 0
+    return 0
 
 
-def cmd_compare(cfg: ModelConfig, opts: RunOptions, kappa_ref, ref_warping: str | None) -> tuple[dict, int]:
-    report = _blank_report(cfg, opts)
-    grid = RadialGrid.uniform(cfg.radius, opts.grid)
+def cmd_compare(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
+    grid = RadialGrid.uniform(cfg.radius, args.grid)
     target = build_target(cfg)
+    kappa_ref = args.kappa if args.kappa is not None else 0.0
+    ref_warping = args.ref_warping or cfg.reference_warping
     if ref_warping is not None:
         tree = _expression_tree(ref_warping, {"t"})
-        kappa_bind = kappa_ref if kappa_ref is not None else 0.0
 
         def w_fn(t):
-            return evaluate(tree, {"t": t, "R": cfg.radius, "kappa": kappa_bind})
+            return evaluate(tree, {"t": t, "R": cfg.radius, "kappa": kappa_ref})
 
         reference = make_warping(w_fn, cfg.radius)
     else:
-        reference = float(kappa_ref if kappa_ref is not None else 0.0)
-    t0 = time.perf_counter()
-    outcome = cheng_report(
-        target.comparison_object(),
-        reference,
-        grid,
-        opts.tol,
-        m_theta=opts.m_theta,
-        k_max=opts.k_max,
-        model_id=cfg.name,
-    )
+        reference = kappa_ref
+    with stage("compare"):
+        outcome = cheng_report(
+            target,
+            reference,
+            grid,
+            args.tol,
+            m_theta=args.theta,
+            k_max=args.kmax,
+            model_id=cfg.name,
+        )
     report["comparison"] = outcome.to_dict()
     report["bound"] = outcome.bound
-    report["timings"] = {"compare": time.perf_counter() - t0, "total": time.perf_counter() - t0}
     report["tolerances"] = {
-        "estimator_relative_cauchy": opts.tol,
-        "oracle_bisection_width": opts.tol,
+        "estimator_relative_cauchy": args.tol,
+        "oracle_bisection_width": args.tol,
         "combined": outcome.combined_tolerance,
     }
-    return report, 0 if outcome.converged else 3
+    return 0 if outcome.converged else 3
 
 
-def cmd_paper_example(cfg: ModelConfig, opts: RunOptions) -> tuple[dict, int]:
-    report = _blank_report(cfg, opts)
-    timings: dict[str, float] = {}
-    stage = "metric"
-    try:
-        t0 = time.perf_counter()
+def cmd_paper_example(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
+    with stage("metric"):
         metric = bumped_disc_metric(cfg.radius)
-        grid = RadialGrid.uniform(cfg.radius, opts.grid)
-        timings[stage] = time.perf_counter() - t0
+        grid = RadialGrid.uniform(cfg.radius, args.grid)
 
-        stage = "area-check"
-        t0 = time.perf_counter()
-        area = area_from_polar_metric(metric, grid, opts.m_theta)
+    with stage("area-check"):
+        area = area_from_polar_metric(metric, grid, args.theta)
         expected = 2.0 * math.pi * grid.nodes
         area_err = float(np.max(np.abs(area.samples[1] - expected)))
         if area_err >= 1e-10:
             raise InvalidMetricError(
                 f"circle lengths deviate from 2 pi t by {area_err:g} (>= 1e-10)"
             )
-        timings[stage] = time.perf_counter() - t0
 
-        stage = "bound"
-        t0 = time.perf_counter()
-        norm, center, mass = run_until_converged(area, grid, opts.tol, opts.k_max)
+    with stage("bound"):
+        norm, center, mass = run_until_converged(area, grid, args.tol, args.kmax)
         report["series"] = _series_block(norm, center, mass)
         report["bound"] = norm.final
-        timings[stage] = time.perf_counter() - t0
 
-        stage = "oracle-2d"
-        t0 = time.perf_counter()
-        oracle = report["oracle"] = _oracle_2d(metric, opts)
-        timings[stage] = time.perf_counter() - t0
+    with stage("oracle-2d"):
+        oracle = report["oracle"] = _oracle_2d(metric, args)
 
-        stage = "sharpness"
-        t0 = time.perf_counter()
-        curvature = _interior_curvature(metric, grid, opts.m_theta)
+    with stage("sharpness"):
+        curvature = _interior_curvature(metric, grid, args.theta)
         sharp = equality_criterion(
-            metric, grid, opts.m_theta, max(opts.tol, 1e-9), curvature
+            metric, grid, args.theta, max(args.tol, 1e-9), curvature
         )
         gap = report["bound"] - oracle["lambda1"]
         report["comparison"] = {
@@ -501,20 +429,13 @@ def cmd_paper_example(cfg: ModelConfig, opts: RunOptions) -> tuple[dict, int]:
             "radiality": _spread(curvature),
             "equality_criterion": bool(sharp),
         }
-        timings[stage] = time.perf_counter() - t0
-    except Exception as exc:
-        exc.args = (f"stage '{stage}' failed: {exc}",)
-        raise
-    timings["total"] = sum(timings.values())
-    report["timings"] = timings
     report["tolerances"] = {
-        "estimator_relative_cauchy": opts.tol,
-        "oracle_relative": opts.tol,
+        "estimator_relative_cauchy": args.tol,
+        "oracle_relative": args.tol,
         "oracle_richardson": report["oracle"]["richardson"],
         "area_check_absolute": 1e-10,
     }
-    code = 0 if report["series"]["converged"] else 3
-    return report, code
+    return 0 if report["series"]["converged"] else 3
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +475,15 @@ def _build_argparser() -> argparse.ArgumentParser:
     common.add_argument("--mesh", default="64x64", help="2-D mesh as MxP, e.g. 64x64")
     common.add_argument("--output", help="write the report to this path")
     common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    for name, doc in (
-        ("bound", "moment-hierarchy eigenvalue bound"),
-        ("oracle", "independent eigenvalue solver"),
-        ("symmetrize", "area and warping tables of the symmetrized metric"),
-        ("compare", "space-form comparison verdict"),
-        ("paper-example", "one-shot bumped-disc reproduction"),
+    for name, handler, doc in (
+        ("bound", cmd_bound, "moment-hierarchy eigenvalue bound"),
+        ("oracle", cmd_oracle, "independent eigenvalue solver"),
+        ("symmetrize", cmd_symmetrize, "area and warping tables of the symmetrized metric"),
+        ("compare", cmd_compare, "space-form comparison verdict"),
+        ("paper-example", cmd_paper_example, "one-shot bumped-disc reproduction"),
     ):
         p = sub.add_parser(name, parents=[common], help=doc)
+        p.set_defaults(handler=handler)
         if name == "compare":
             p.add_argument(
                 "--ref-warping",
@@ -624,8 +546,8 @@ def _series_csv(report: dict) -> str:
     norm = series["norm"]
     center = series["center"]
     mass = series["mass"]
-    n0 = series.get("norm_k_start", 0)
-    c0 = series.get("center_k_start", 1)
+    n0 = series["norm_k_start"]
+    c0 = series["center_k_start"]
     top = max(n0 + len(norm) - 1, c0 + len(center) - 1)
     for k in range(0, top + 1):
         cells = [str(k)]
@@ -672,28 +594,27 @@ def render_report(report: dict, fmt: str) -> str:
 
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
-    opts = RunOptions(
-        grid=args.grid,
-        m_theta=args.theta,
-        k_max=args.kmax,
-        tol=args.tol,
-        output=args.output,
-        fmt=args.fmt,
-    )
+    stage = Stages()
     try:
-        opts.mesh = _parse_mesh(args.mesh)
+        args.mesh = _parse_mesh(args.mesh)
         cfg = _load_config(args)
-        if args.command == "bound":
-            report, code = cmd_bound(cfg, opts)
-        elif args.command == "oracle":
-            report, code = cmd_oracle(cfg, opts)
-        elif args.command == "symmetrize":
-            report, code = cmd_symmetrize(cfg, opts)
-        elif args.command == "compare":
-            reference_expr = getattr(args, "ref_warping", None) or cfg.reference_warping
-            report, code = cmd_compare(cfg, opts, args.kappa, reference_expr)
-        else:
-            report, code = cmd_paper_example(cfg, opts)
+        report = {
+            "config": {
+                "model": {name: getattr(cfg, name) for name in cfg.FIELDS},
+                "grid": args.grid,
+                "m_theta": args.theta,
+                "k_max": args.kmax,
+                "tol": args.tol,
+                "mesh": list(args.mesh),
+            },
+            "series": None,
+            "bound": None,
+            "oracle": None,
+            "comparison": None,
+            "table": None,
+            "tolerances": {},
+        }
+        code = args.handler(args, cfg, report, stage)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -714,10 +635,11 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 5
 
-    text = render_report(report, opts.fmt)
-    if opts.output:
+    report["timings"] = {**stage, "total": sum(stage.values())}
+    text = render_report(report, args.fmt)
+    if args.output:
         try:
-            with open(opts.output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from .geometry import (
     _spread,
     area_from_polar_metric,
     area_from_warping,
+    area_of,
     radiality_deviation,
     space_form_warping,
     warping_from_area,
@@ -105,21 +106,13 @@ def monotonicity_check(
 
 def _as_target(target, grid: RadialGrid, m_theta: int):
     """Normalize a model / 2-D metric / area function to (n, area, radiality)."""
+    area = area_of(target, grid, m_theta)  # a metric's area checks the grid radius
+    if abs(area.radius - grid.radius) > 1e-12 * grid.radius:
+        kind = "model" if isinstance(target, RiemannianModel) else "area"
+        raise DomainError(f"grid radius must match the {kind} radius")
     if isinstance(target, PolarMetric2D):
-        if abs(target.radius - grid.radius) > 1e-12 * grid.radius:
-            raise DomainError("grid radius must match the metric radius")
-        area = area_from_polar_metric(target, grid, m_theta)
-        deviation = radiality_deviation(target, grid, m_theta)
-        return 2, area, deviation
-    if isinstance(target, RiemannianModel):
-        if abs(target.radius - grid.radius) > 1e-12 * grid.radius:
-            raise DomainError("grid radius must match the model radius")
-        return target.dimension, area_from_warping(target), 0.0
-    if isinstance(target, AreaFunction):
-        if abs(target.radius - grid.radius) > 1e-12 * grid.radius:
-            raise DomainError("grid radius must match the area radius")
-        return target.dimension, target, 0.0
-    raise DomainError(f"unsupported comparison target {type(target).__name__}")
+        return 2, area, radiality_deviation(target, grid, m_theta)
+    return area.dimension, area, 0.0
 
 
 def _reference_warping(reference, radius: float) -> WarpingFunction:

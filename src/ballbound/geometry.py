@@ -21,6 +21,7 @@ from .errors import (
     InvalidAreaError,
     InvalidMetricError,
     InvalidModelError,
+    PrecisionError,
 )
 from .quadrature import (
     _pchip,
@@ -41,7 +42,10 @@ def unit_sphere_volume(n: int) -> float:
     """Volume of the unit (n-1)-sphere, 2 pi^(n/2) / Gamma(n/2)."""
     if n < 2:
         raise DomainError(f"dimension must be at least 2, got {n}")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:
+        raise PrecisionError(f"the volume of the unit sphere overflows in dimension {n}") from None
 
 
 def _eval_on(fn: Callable, x) -> np.ndarray:
@@ -358,6 +362,21 @@ def area_from_polar_metric(
         source=FROM_METRIC,
         samples=(nodes.copy(), samples),
     )
+
+
+def area_of(target, grid: RadialGrid, m_theta: int) -> AreaFunction:
+    """Sphere-area function of a model, of a 2-D metric, or an area function as it is.
+
+    A metric is symmetrized on ``grid`` with ``m_theta`` angles; a model's
+    area follows from its warping.
+    """
+    if isinstance(target, PolarMetric2D):
+        return area_from_polar_metric(target, grid, m_theta)
+    if isinstance(target, RiemannianModel):
+        return area_from_warping(target)
+    if isinstance(target, AreaFunction):
+        return target
+    raise DomainError(f"no sphere-area function for a {type(target).__name__}")
 
 
 def mean_curvature_field(metric: PolarMetric2D, t, theta):

@@ -507,6 +507,84 @@ class TestOutputsAndCodes:
         assert not target.exists()
 
 
+class TestStageRunner:
+    # case -> subcommand, its arguments, and the stages it reports in run order
+    CASES = {
+        "bound": ("bound", ["--builtin", "euclidean"], ["symmetrize", "moments"]),
+        "oracle": ("oracle", ["--builtin", "euclidean"], ["oracle"]),
+        "oracle-2d": ("oracle", ["--config", "{rho-r}"], ["oracle"]),
+        "symmetrize": ("symmetrize", ["--builtin", "euclidean"], ["symmetrize"]),
+        "compare": ("compare", ["--builtin", "euclidean", "--kappa", "-1"], ["compare"]),
+        "paper-example": (
+            "paper-example", [], ["metric", "area-check", "bound", "oracle-2d", "sharpness"]
+        ),
+    }
+
+    @staticmethod
+    def _argv(tmp_path, command, args):
+        cfg = tmp_path / "rho-r.json"
+        cfg.write_text(json.dumps({"kind": "polar2d", "rho": "r", "radius": 1}))
+        return [command, *(str(cfg) if a == "{rho-r}" else a for a in args)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_timings_are_the_stages_and_their_total(self, tmp_path, case):
+        command, args, stages = self.CASES[case]
+        code, report = run_json(tmp_path, *self._argv(tmp_path, command, args))
+        assert code == 0
+        timings = report["timings"]
+        assert set(timings) == {*stages, "total"}
+        assert all(timings[name] >= 0.0 for name in stages)
+        assert timings["total"] == sum(timings[name] for name in stages)
+        # argparse holds the only copy of the defaults
+        config = {k: v for k, v in report["config"].items() if k != "model"}
+        assert config == {"grid": 4096, "m_theta": 256, "k_max": 200, "tol": 1e-8, "mesh": [64, 64]}
+
+    def test_2d_oracle_ignores_the_radial_grid(self, tmp_path):
+        argv = self._argv(tmp_path, "oracle", ["--config", "{rho-r}", "--grid", "0"])
+        code, report = run_json(tmp_path, *argv, "--mesh", "16x16")
+        assert code == 0 and report["config"]["grid"] == 0
+        assert main(["oracle", "--builtin", "euclidean", "--grid", "0"]) == 5
+
+    @pytest.mark.parametrize(
+        "argv,config,stage",
+        [
+            (["oracle"], {"kind": "polar2d", "rho": "r", "radius": 1e200}, "oracle"),
+            (["compare", "--builtin", "hyperbolic", "--dimension", "3", "--radius", "400"],
+             None, "compare"),
+            (["paper-example", "--mesh", "8x8"], None, "oracle-2d"),
+        ],
+        ids=["oracle-polar2d-1e200", "compare-hyperbolic-400", "paper-example-8x8"],
+    )
+    def test_errors_name_their_stage(self, tmp_path, capsys, argv, config, stage):
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "c.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: stage '{stage}' failed: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("dimension", ["400", str(10**20)])
+    @pytest.mark.parametrize(
+        "command,stage",
+        [("bound", "symmetrize"), ("oracle", "oracle"), ("symmetrize", "symmetrize"),
+         ("compare", "compare")],
+    )
+    def test_huge_dimension_is_invalid_input(self, capsys, command, stage, dimension):
+        # Gamma(n/2) in the unit-sphere volume overflows from n = 344 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--builtin", "euclidean", "--dimension", dimension])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err == (
+            f"invalid input: stage '{stage}' failed: the volume of the unit sphere"
+            f" overflows in dimension {dimension}\n"
+        )
+
+
 class TestProcessEntry:
     def test_main_leaves_the_collector_unfrozen(self, tmp_path):
         before = gc.get_freeze_count()

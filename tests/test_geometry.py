@@ -25,8 +25,9 @@ from ballbound.errors import (
     InvalidAreaError,
     InvalidMetricError,
     InvalidModelError,
+    PrecisionError,
 )
-from ballbound.geometry import _eval_on, _eval_on2
+from ballbound.geometry import _eval_on, _eval_on2, area_of
 
 from conftest import bump_curvature_oracle, counting_metric, model_suite, wavy_cone_metric
 
@@ -73,6 +74,31 @@ class TestUnitSphereVolume:
     def test_rejects_low_dimension(self):
         with pytest.raises(DomainError):
             unit_sphere_volume(1)
+
+    def test_last_finite_dimension_keeps_the_formula(self):
+        # Gamma(n/2) is finite up to n = 343
+        assert unit_sphere_volume(343) == 2.0 * math.pi ** 171.5 / math.gamma(171.5)
+
+    @pytest.mark.parametrize("n", [344, 400, 10**20])
+    def test_overflow_is_a_precision_error(self, n):
+        with pytest.raises(PrecisionError, match=f"overflows in dimension {n}"):
+            unit_sphere_volume(n)
+
+
+class TestAreaOf:
+    def test_each_target_kind(self):
+        grid = RadialGrid.uniform(1.0, 64)
+        model = euclidean_model(3, 1.0)
+        metric = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
+        area = AreaFunction(dimension=2, radius=1.0, eval=lambda t: 2.0 * math.pi * t)
+        t = grid.nodes
+        assert np.allclose(area_of(model, grid, 16).eval(t), 4.0 * math.pi * t**2)
+        assert np.allclose(area_of(metric, grid, 16).eval(t), 2.0 * math.pi * t)
+        assert area_of(area, grid, 16) is area
+
+    def test_rejects_other_objects(self):
+        with pytest.raises(DomainError, match="no sphere-area function"):
+            area_of(1.0, RadialGrid.uniform(1.0, 64), 16)
 
 
 class TestSpaceFormWarping:
