@@ -23,7 +23,8 @@ An error raised inside a stage names it, e.g. ``invalid input: stage
 'oracle' failed: ...``.
 
 Exit codes: 0 success, 1 configuration error, 2 usage/expression syntax
-error, 3 estimator did not converge, 4 solver failure (bracket, iteration),
+error, 3 bound not supported (estimators did not converge, or ``compare``
+found it below the reference), 4 solver failure (bracket, iteration),
 5 invalid model/metric/area input.
 """
 from __future__ import annotations
@@ -39,7 +40,7 @@ import time
 
 import numpy as np
 
-from .compare import cheng_report, equality_criterion
+from .compare import BOUND_BELOW_REFERENCE, cheng_report, equality_criterion
 from .errors import (
     BracketError,
     ConfigError,
@@ -390,7 +391,8 @@ def cmd_compare(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
         "oracle_bisection_width": args.tol,
         "combined": outcome.combined_tolerance,
     }
-    return 0 if outcome.converged else 3
+    supported = outcome.converged and outcome.verdict != BOUND_BELOW_REFERENCE
+    return 0 if supported else 3
 
 
 def cmd_paper_example(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
@@ -418,7 +420,7 @@ def cmd_paper_example(args, cfg: ModelConfig, report: dict, stage: Stages) -> in
     with stage("sharpness"):
         curvature = _interior_curvature(metric, grid, args.theta)
         sharp = equality_criterion(
-            metric, grid, args.theta, max(args.tol, 1e-9), curvature
+            metric, grid, args.theta, max(args.tol, 1e-9), curvature, area
         )
         gap = report["bound"] - oracle["lambda1"]
         report["comparison"] = {

@@ -31,6 +31,7 @@ from .moments import run_until_converged
 from .oracle import shoot_radial_lambda1
 
 BOUND_HOLDS = "bound-holds"
+BOUND_BELOW_REFERENCE = "bound-below-reference"
 EQUALITY_CANDIDATE = "equality-candidate"
 HYPOTHESIS_FAILS = "hypothesis-fails"
 
@@ -136,10 +137,12 @@ def cheng_report(
 
     ``kappa`` is either a space-form curvature or a warping function for a
     general reference model.  The verdict is ``hypothesis-fails`` when the
-    area-ratio monotonicity fails, ``equality-candidate`` when the bound,
-    the reference eigenvalue, and the radiality test all agree within
-    tolerance, and ``bound-holds`` otherwise.  ``converged`` is false when
-    the hierarchy ran out of ``k_max`` levels, so ``bound`` is unsupported.
+    area-ratio monotonicity fails, ``bound-below-reference`` when the areas
+    agree within ``slack`` yet the bound lies below the reference eigenvalue
+    by more than the combined tolerance, ``equality-candidate`` when bound,
+    reference and the radiality test agree within tolerance, and
+    ``bound-holds`` otherwise.  ``converged`` is false when the hierarchy
+    ran out of ``k_max`` levels, so ``bound`` is unsupported.
     """
     n, area_g, deviation = _as_target(target, grid, m_theta)
     ref_model = RiemannianModel(n, grid.radius, _reference_warping(kappa, grid.radius))
@@ -153,6 +156,9 @@ def cheng_report(
 
     if not monotone_ok:
         verdict = HYPOTHESIS_FAILS
+    elif bound < reference.lambda1 - combined and np.all(np.abs(profile - 1.0) <= slack):
+        # equal areas: the norm ratios bound the reference eigenvalue from above
+        verdict = BOUND_BELOW_REFERENCE
     elif abs(bound - reference.lambda1) <= combined and deviation <= max(tol, 1e-8):
         verdict = EQUALITY_CANDIDATE
     else:
@@ -176,18 +182,21 @@ def equality_criterion(
     m_theta: int,
     tol: float,
     curvature: np.ndarray | None = None,
+    area: AreaFunction | None = None,
 ) -> bool:
     """Sharpness test for a 2-D metric.
 
     True iff the mean curvature of every interior circle is radial to within
     ``tol`` and its radial value matches w'/w of the symmetrized metric.
     ``curvature`` is that field on the interior nodes, when the caller already
-    has it from ``_interior_curvature``.
+    has it from ``_interior_curvature``, and ``area`` the metric's
+    ``area_from_polar_metric`` on the same grid.
     """
     h = _interior_curvature(metric, grid, m_theta) if curvature is None else curvature
     if _spread(h) > tol:
         return False
-    warping = warping_from_area(area_from_polar_metric(metric, grid, m_theta))
+    area = area_from_polar_metric(metric, grid, m_theta) if area is None else area
+    warping = warping_from_area(area)
     interior = grid.nodes[1:-1]
     target = _eval_on(warping.derivative_eval, interior) / _eval_on(warping.eval, interior)
     # (n-1) w'/w with n = 2 against the angular mean of H on each circle

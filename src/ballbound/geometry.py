@@ -63,47 +63,25 @@ def _eval_on2(fn: Callable, r, theta) -> np.ndarray:
 
 
 class RadialGrid:
-    """Ordered sample points on [0, R] with fourth-order quadrature weights."""
+    """Uniform nodes on [0, R] with fourth-order quadrature weights."""
 
-    def __init__(self, radius: float, nodes: np.ndarray, weights: np.ndarray):
-        self.radius = radius
-        self.nodes = nodes = np.array(nodes, dtype=float)
-        self.weights = weights = np.array(weights, dtype=float)
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        if self.radius <= 0.0:
+    def __init__(self, radius: float, intervals: int):
+        if intervals < 8:
+            raise DomainError(f"need at least 8 intervals, got {intervals}")
+        if radius <= 0.0:
             raise DomainError("grid radius must be positive")
-        if nodes.ndim != 1 or nodes.size < 8 or nodes.size != weights.size:
-            raise DomainError("grid needs matching 1-D nodes/weights, at least 8 nodes")
-        if nodes[0] != 0.0 or nodes[-1] != self.radius:
-            raise DomainError("grid must start at 0 and end exactly at the radius")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise DomainError("grid nodes must be strictly increasing")
-        if np.any(weights <= 0.0):
-            raise DomainError("quadrature weights must be positive")
-        if abs(weights.sum() - self.radius) > 1e-12 * self.radius:
-            raise DomainError("quadrature weights must sum to the radius")
+        self.radius = radius
+        self.intervals = intervals
+        self.spacing = radius / intervals
+        self.nodes = np.linspace(0.0, radius, intervals + 1)
+        self.weights = composite_weights(intervals + 1, self.spacing)
+        self.nodes.flags.writeable = False
+        self.weights.flags.writeable = False
 
     @classmethod
     def uniform(cls, radius: float, intervals: int) -> "RadialGrid":
-        """Uniform grid with ``intervals`` subintervals (end-corrected weights)."""
-        if intervals < 8:
-            raise DomainError(f"need at least 8 intervals, got {intervals}")
-        nodes = np.linspace(0.0, radius, intervals + 1)
-        return cls(radius, nodes, composite_weights(intervals + 1, radius / intervals))
-
-    @property
-    def spacing(self) -> float:
-        """Common node spacing; raises if the grid is not uniform."""
-        d = np.diff(self.nodes)
-        h = d[0]
-        if np.any(np.abs(d - h) > 1e-12 * h):
-            raise DomainError("operation requires a uniform grid")
-        return float(h)
-
-    @property
-    def intervals(self) -> int:
-        return self.nodes.size - 1
+        """The grid with ``intervals`` subintervals (end-corrected weights)."""
+        return cls(radius, intervals)
 
 
 class WarpingFunction:

@@ -18,6 +18,7 @@ reinstate it exactly in exponent arithmetic.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -34,29 +35,19 @@ MASS_RATIO = "mass-ratio"
 _MIN_INTERVALS = 16
 
 
-class MomentTable:
+class MomentTable(NamedTuple):
     """Renormalized moment levels on a grid plus accumulated log rescale factors.
 
     ``levels[k]`` holds T_k / T_k(0) at the grid nodes and ``log_scale[k]``
     the accumulated log of the stripped factors, so the true level is
-    exp(log_scale[k]) * levels[k].
+    exp(log_scale[k]) * levels[k].  ``mass[k]`` and ``norm2[k]`` are the
+    integrals of ``levels[k]`` and ``levels[k]**2`` against A.
     """
 
-    def __init__(self, grid: RadialGrid, levels: np.ndarray, log_scale: np.ndarray):
-        self.grid = grid
-        self.levels = levels
-        self.log_scale = log_scale
-        levels.flags.writeable = False
-        log_scale.flags.writeable = False
-
-    @property
-    def top_level(self) -> int:
-        return self.levels.shape[0] - 1
-
-    def level(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.top_level:
-            raise DomainError(f"level {k} not computed (table holds 0..{self.top_level})")
-        return self.levels[k]
+    levels: np.ndarray
+    log_scale: np.ndarray
+    mass: np.ndarray
+    norm2: np.ndarray
 
 
 class EstimateSeries(NamedTuple):
@@ -82,25 +73,41 @@ def _area_values(area: AreaFunction, grid: RadialGrid) -> np.ndarray:
     return a
 
 
-def _advance(prev: np.ndarray, a: np.ndarray, dx: float) -> tuple[np.ndarray, float]:
-    """One hierarchy step from a renormalized level; returns (level, center value)."""
-    inner = cumulative_integral(prev * a, dx)
-    integrand = np.zeros_like(inner)
-    # (int_0^s prev A)/A(s) ~ s * prev(0)/n near 0: extend by its limit 0.
-    integrand[1:] = inner[1:] / a[1:]
-    outer = cumulative_integral(integrand, dx)
-    raw = outer[-1] - outer
-    raw[-1] = 0.0
-    center = float(raw[0])
-    if not math.isfinite(center) or center <= 0.0:
-        raise PrecisionError(f"moment level degenerated (center value {center})")
-    return raw / center, center
+def _hierarchy(area: AreaFunction, grid: RadialGrid):
+    """Yield (level, center, mass, norm2) for k = 0, 1, 2, ...
 
-
-def _require_moment_grid(grid: RadialGrid) -> float:
+    ``level`` is T_k / T_k(0), ``center`` the factor T_k(0) / T_{k-1}(0)
+    stripped from it (1 at k = 0), and ``mass`` and ``norm2`` are the
+    integrals of ``level`` and ``level**2`` against A.  Each level is
+    computed only when it is asked for.  The consumers run it under
+    ``np.errstate(over="ignore", invalid="ignore")``.
+    """
     if grid.intervals < _MIN_INTERVALS:
         raise DomainError(f"moment grids need at least {_MIN_INTERVALS} intervals")
-    return grid.spacing
+    a = _area_values(area, grid)
+    dx, w = grid.spacing, grid.weights
+    level, center = np.ones_like(a), 1.0
+    mass = float(w @ (level * a))
+    norm2 = float(w @ (level**2 * a))
+    if not math.isfinite(mass + norm2):
+        raise PrecisionError(f"the area integral overflows at radius {grid.radius:g}")
+    while True:
+        yield level, center, mass, norm2
+        inner = cumulative_integral(level * a, dx)
+        integrand = np.zeros_like(inner)
+        # (int_0^s T A)/A(s) ~ s * T(0)/n near 0: extend by its limit 0.
+        integrand[1:] = inner[1:] / a[1:]
+        outer = cumulative_integral(integrand, dx)
+        raw = outer[-1] - outer
+        raw[-1] = 0.0
+        center = float(raw[0])
+        if not math.isfinite(center) or center <= 0.0:
+            raise PrecisionError(f"moment level degenerated (center value {center})")
+        level = raw / center
+        mass = float(w @ (level * a))
+        norm2 = float(w @ (level**2 * a))
+        if min(mass, norm2) <= 0.0 or not math.isfinite(mass + norm2):
+            raise PrecisionError("estimator integrals underflowed; raise N")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -108,49 +115,34 @@ def compute_moments(area: AreaFunction, grid: RadialGrid, levels: int) -> Moment
     """Build the hierarchy up to level ``levels`` on a uniform grid."""
     if levels < 0:
         raise DomainError("number of levels must be non-negative")
-    dx = _require_moment_grid(grid)
-    a = _area_values(area, grid)
-    table = [np.ones_like(a)]
-    log_scale = [0.0]
-    for _ in range(levels):
-        level, center = _advance(table[-1], a, dx)
-        table.append(level)
-        log_scale.append(log_scale[-1] + math.log(center))
-    return MomentTable(grid=grid, levels=np.array(table), log_scale=np.array(log_scale))
+    table, centers, mass, norm2 = zip(*itertools.islice(_hierarchy(area, grid), levels + 1))
+    log_scale = np.cumsum([math.log(c) for c in centers])
+    return MomentTable(np.array(table), log_scale, np.array(mass), np.array(norm2))
 
 
-def estimator_norm_ratio(table: MomentTable, area: AreaFunction, k: int) -> float:
+def estimator_norm_ratio(table: MomentTable, k: int) -> float:
     """(int T_k^2 A / int T_{k+1}^2 A)^(1/2) with rescale factors reinstated."""
-    if not 0 <= k <= table.top_level - 1:
+    if not 0 <= k <= len(table.levels) - 2:
         raise DomainError(f"norm ratio needs levels k and k+1, got k = {k}")
-    a = _area_values(area, table.grid)
-    w = table.grid.weights
-    num = float(w @ (table.levels[k] ** 2 * a))
-    den = float(w @ (table.levels[k + 1] ** 2 * a))
-    if not math.isfinite(den) or den <= 0.0:
-        raise PrecisionError("norm-ratio denominator underflowed; raise K or N")
     scale = math.exp(table.log_scale[k] - table.log_scale[k + 1])
-    return scale * math.sqrt(num / den)
+    return scale * math.sqrt(table.norm2[k] / table.norm2[k + 1])
 
 
 def estimator_center_ratio(table: MomentTable, k: int) -> float:
     """T_{k-1}(0) / T_k(0), exact in exponent arithmetic."""
-    if not 1 <= k <= table.top_level:
-        raise DomainError(f"center ratio needs 1 <= k <= {table.top_level}, got {k}")
+    top = len(table.levels) - 1
+    if not 1 <= k <= top:
+        raise DomainError(f"center ratio needs 1 <= k <= {top}, got {k}")
     return math.exp(table.log_scale[k - 1] - table.log_scale[k])
 
 
-def estimator_mass_ratio(table: MomentTable, area: AreaFunction, k: int) -> float:
+def estimator_mass_ratio(table: MomentTable, k: int) -> float:
     """int T_{k-1} A / int T_k A with rescale factors reinstated."""
-    if not 1 <= k <= table.top_level:
-        raise DomainError(f"mass ratio needs 1 <= k <= {table.top_level}, got {k}")
-    a = _area_values(area, table.grid)
-    w = table.grid.weights
-    num = float(w @ (table.levels[k - 1] * a))
-    den = float(w @ (table.levels[k] * a))
-    if not math.isfinite(den) or den <= 0.0:
-        raise PrecisionError("mass-ratio denominator underflowed; raise K or N")
-    return math.exp(table.log_scale[k - 1] - table.log_scale[k]) * num / den
+    top = len(table.levels) - 1
+    if not 1 <= k <= top:
+        raise DomainError(f"mass ratio needs 1 <= k <= {top}, got {k}")
+    scale = math.exp(table.log_scale[k - 1] - table.log_scale[k])
+    return scale * table.mass[k - 1] / table.mass[k]
 
 
 def _series(kind: str, ks: list[int], values: list[float], converged: bool) -> EstimateSeries:
@@ -188,26 +180,14 @@ def run_until_converged(
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if k_max < 2:
         raise DomainError("k_max must be at least 2")
-    dx = _require_moment_grid(grid)
-    a = _area_values(area, grid)
-    w = grid.weights
-
-    prev = np.ones_like(a)
-    mass_prev = float(w @ (prev * a))
-    sq_prev = float(w @ (prev**2 * a))
-    if not math.isfinite(mass_prev + sq_prev):
-        raise PrecisionError(f"the area integral overflows at radius {grid.radius:g}")
-
+    levels = _hierarchy(area, grid)
+    _, _, mass_prev, sq_prev = next(levels)
     norms: list[float] = []
     centers: list[float] = []
     masses: list[float] = []
     converged = False
-    for _ in range(1, k_max + 1):
-        cur, center = _advance(prev, a, dx)
-        mass_cur = float(w @ (cur * a))
-        sq_cur = float(w @ (cur**2 * a))
-        if min(mass_cur, sq_cur) <= 0.0 or not math.isfinite(mass_cur + sq_cur):
-            raise PrecisionError("estimator integrals underflowed; raise N")
+    # range first: zip stops before asking for a level beyond k_max
+    for _, (_, center, mass_cur, sq_cur) in zip(range(k_max), levels):
         centers.append(1.0 / center)
         masses.append(mass_prev / mass_cur / center)
         norms.append(math.sqrt(sq_prev / sq_cur) / center)
@@ -218,7 +198,7 @@ def run_until_converged(
             if cauchy:
                 converged = True
                 break
-        prev, mass_prev, sq_prev = cur, mass_cur, sq_cur
+        mass_prev, sq_prev = mass_cur, sq_cur
 
     top = len(centers)
     return (

@@ -87,6 +87,9 @@ def _model_area_arrays(model: RiemannianModel, nodes: np.ndarray, h: float):
         a_mid = vol * w_mid ** (n - 1)
     _require_finite(a_nodes, nodes)
     _require_finite(a_mid, mids)
+    zero = np.concatenate([nodes[1:][a_nodes[1:] == 0.0], mids[1:][a_mid[1:] == 0.0]])
+    if zero.size:
+        raise PrecisionError(f"A(t) underflows to 0 at t = {zero.min():g} in dimension {n}")
     return a_nodes.tolist(), a_mid.tolist()
 
 

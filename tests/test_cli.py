@@ -85,6 +85,30 @@ class TestOracle:
         assert report["oracle"]["lambda1"] == pytest.approx(PI_SQUARED, abs=1e-4)
         assert report["oracle"]["richardson"] is None
 
+    @pytest.mark.parametrize("command", ["bound", "oracle"])
+    @pytest.mark.parametrize("grid", ["16384", "32768"])
+    @pytest.mark.parametrize("radius", [0.3, 3.1])
+    def test_fine_grids(self, tmp_path, command, grid, radius):
+        # these grids used to fail a 1e-12 uniformity check on np.linspace nodes
+        code, report = run_json(
+            tmp_path, command, "--builtin", "euclidean", "--radius", str(radius), "--grid", grid
+        )
+        assert code == 0
+        value = report["bound"] if command == "bound" else report["oracle"]["lambda1"]
+        exact = J0_SQUARED / radius**2
+        assert abs(value - exact) <= 1e-8 * exact
+
+    @pytest.mark.parametrize("dimension", ["90", "200"])
+    def test_area_underflow_is_invalid_input(self, capsys, dimension):
+        # vol * t^(n-1) is 0 at the first nodes; the sweep used to divide by it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["oracle", "--builtin", "euclidean", "--dimension", dimension])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: stage 'oracle' failed: A(t) underflows to 0")
+        assert err.count("\n") == 1
+
     def test_2d_solver_carries_richardson(self, tmp_path):
         code, report = run_json(
             tmp_path,
@@ -219,6 +243,18 @@ class TestCompare:
         code, report = run_json(tmp_path, "compare", *args, "--kappa", "-1")
         assert code == 3
         assert report["bound"] == report["comparison"]["bound"] > 0.0
+
+
+    def test_bound_below_the_reference_is_unsupported(self, tmp_path):
+        # equal areas, but the rim's boundary layer is under-resolved at R = 3.14:
+        # the bound 0.0010113 sits 300 combined tolerances below the reference 0.0010143
+        args = ("--builtin", "spherical", "--dimension", "3", "--radius", "3.14", "--kappa", "1")
+        code, report = run_json(tmp_path, "compare", *args)
+        assert code == 3
+        comp = report["comparison"]
+        assert comp["monotone_ok"] is True
+        assert comp["bound"] < comp["reference_lambda"] - comp["combined_tolerance"]
+        assert comp["verdict"] == "bound-below-reference"
 
 
 class TestPaperExample:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ballbound import (
+    BOUND_BELOW_REFERENCE,
     BOUND_HOLDS,
     EQUALITY_CANDIDATE,
     HYPOTHESIS_FAILS,
@@ -21,6 +22,7 @@ from ballbound import (
     space_form_model,
     space_form_warping,
 )
+import ballbound.compare
 from ballbound.errors import DomainError
 
 from conftest import J0_SQUARED, counting_metric, metric_suite, wavy_cone_metric
@@ -106,6 +108,23 @@ class TestChengReport:
         assert report.verdict == BOUND_HOLDS
         assert report.radiality > 1e-3
         assert report.bound == pytest.approx(J0_SQUARED / 9.0, abs=1e-6)
+
+    def test_bound_below_the_reference_of_equal_areas(self, unit_grid, monkeypatch):
+        shoot = ballbound.compare.shoot_radial_lambda1
+
+        def shoot_high(model, grid, tol):
+            result = shoot(model, grid, tol)
+            result.lambda1 *= 1.0 + 1e-4
+            return result
+
+        monkeypatch.setattr(ballbound.compare, "shoot_radial_lambda1", shoot_high)
+        report = cheng_report(euclidean_model(2, 1.0), 0.0, unit_grid, 1e-8)
+        assert report.monotone_ok
+        assert report.reference_lambda > report.bound + report.combined_tolerance
+        assert report.verdict == BOUND_BELOW_REFERENCE
+        # flat over hyperbolic areas decrease: a bound below the reference is the theorem's claim
+        report = cheng_report(euclidean_model(2, 1.0), -1.0, unit_grid, 1e-8)
+        assert report.verdict == BOUND_HOLDS
 
     def test_general_warping_reference(self, unit_grid):
         # reference W(t) = sinh(t): same as kappa = -1

@@ -17,7 +17,9 @@ from ballbound import (
     shoot_radial_lambda1,
     space_form_warping,
 )
+from ballbound import moments
 from ballbound.errors import DomainError, InvalidAreaError
+from ballbound.quadrature import cumulative_integral
 
 from conftest import J0_SQUARED, PI_SQUARED, model_suite
 
@@ -57,7 +59,7 @@ class TestSymbolicLevels:
     def test_mass_ratio_first_level(self, unit_grid):
         # int 2 pi t dt / int 2 pi t (1-t^2)/4 dt = pi / (pi/8) = 8
         table = compute_moments(disc_area(), unit_grid, 1)
-        assert estimator_mass_ratio(table, disc_area(), 1) == pytest.approx(8.0, abs=1e-8)
+        assert estimator_mass_ratio(table, 1) == pytest.approx(8.0, abs=1e-8)
 
 
 class TestLevelShape:
@@ -112,13 +114,13 @@ class TestConvergedEstimates:
         table = compute_moments(area, unit_grid, center.ks[-1])
         k_probe = 3
         assert norm.values[norm.ks.index(k_probe)] == pytest.approx(
-            estimator_norm_ratio(table, area, k_probe), rel=1e-12
+            estimator_norm_ratio(table, k_probe), rel=1e-12
         )
         assert center.values[center.ks.index(k_probe)] == pytest.approx(
             estimator_center_ratio(table, k_probe), rel=1e-12
         )
         assert mass.values[mass.ks.index(k_probe)] == pytest.approx(
-            estimator_mass_ratio(table, area, k_probe), rel=1e-12
+            estimator_mass_ratio(table, k_probe), rel=1e-12
         )
 
 
@@ -168,6 +170,21 @@ class TestStoppingAndErrors:
         assert not norm.converged and not center.converged and not mass.converged
         assert len(center.values) == 2
 
+    def test_levels_computed_on_demand(self, unit_grid, monkeypatch):
+        # each level costs two cumulative integrals; none is built past the last asked for
+        calls = []
+
+        def counting(y, dx):
+            calls.append(dx)
+            return cumulative_integral(y, dx)
+
+        monkeypatch.setattr(moments, "cumulative_integral", counting)
+        norm, _, _ = run_until_converged(disc_area(), unit_grid, 1e-14, 5)
+        assert not norm.converged and len(calls) == 2 * 5
+        calls.clear()
+        table = compute_moments(disc_area(), unit_grid, 3)
+        assert len(table.levels) == 4 and len(calls) == 2 * 3
+
     def test_rate_diagnostic_is_reported(self, unit_grid):
         _, center, _ = run_until_converged(disc_area(), unit_grid, 1e-10, 200)
         # disc ratio sequences contract roughly like lambda1/lambda2 ~ 0.19
@@ -197,9 +214,9 @@ class TestStoppingAndErrors:
         with pytest.raises(DomainError):
             estimator_center_ratio(table, 3)
         with pytest.raises(DomainError):
-            estimator_norm_ratio(table, disc_area(), 2)
+            estimator_norm_ratio(table, 2)
         with pytest.raises(DomainError):
-            estimator_mass_ratio(table, disc_area(), 5)
+            estimator_mass_ratio(table, 5)
 
     def test_bad_arguments(self, unit_grid):
         with pytest.raises(DomainError):
