@@ -21,7 +21,6 @@ from .errors import (
     BracketError,
     ConfigError,
     ConvergenceError,
-    DegenerateProfileError,
     DomainError,
     EvaluationError,
     ExpressionSyntaxError,
@@ -36,12 +35,10 @@ from .geometry import (
     PolarMetric2D,
     RadialGrid,
     RiemannianModel,
-    WarpingFunction,
     area_from_polar_metric,
     area_from_warping,
     bumped_disc_metric,
     euclidean_model,
-    make_warping,
     mean_curvature_field,
     polar_metric_from_warping,
     radiality_deviation,
@@ -64,7 +61,6 @@ from .oracle import (
     build_discrete_laplacian,
     eigen_2d_polar,
     eigen_2d_refined,
-    rayleigh_quotient_2d,
     shoot_radial_lambda1,
 )
 
@@ -79,7 +75,6 @@ __all__ = [
     "ComparisonReport",
     "ConfigError",
     "ConvergenceError",
-    "DegenerateProfileError",
     "DomainError",
     "EigenResult",
     "EQUALITY_CANDIDATE",
@@ -95,7 +90,6 @@ __all__ = [
     "PrecisionError",
     "RadialGrid",
     "RiemannianModel",
-    "WarpingFunction",
     "area_from_polar_metric",
     "area_from_warping",
     "build_discrete_laplacian",
@@ -112,13 +106,11 @@ __all__ = [
     "evaluate",
     "format_expression",
     "free_variables",
-    "make_warping",
     "mean_curvature_field",
     "monotonicity_check",
     "parse",
     "polar_metric_from_warping",
     "radiality_deviation",
-    "rayleigh_quotient_2d",
     "run_until_converged",
     "shoot_radial_lambda1",
     "space_form_model",

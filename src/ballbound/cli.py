@@ -45,7 +45,6 @@ from .errors import (
     BracketError,
     ConfigError,
     ConvergenceError,
-    DegenerateProfileError,
     DomainError,
     EvaluationError,
     ExpressionSyntaxError,
@@ -67,7 +66,6 @@ from .geometry import (
     area_of,
     bumped_disc_metric,
     euclidean_model,
-    make_warping,
     space_form_model,
     warping_from_area,
 )
@@ -225,7 +223,7 @@ def build_target(cfg: ModelConfig) -> RiemannianModel | PolarMetric2D | AreaFunc
         def w_fn(t):
             return evaluate(tree, {"t": t, "R": radius, "kappa": kappa})
 
-        return RiemannianModel(cfg.dimension, radius, make_warping(w_fn, radius))
+        return RiemannianModel(cfg.dimension, radius, w_fn)
     if cfg.kind == "area":
         tree = _expression_tree(cfg.area, {"t"})
 
@@ -354,7 +352,7 @@ def cmd_symmetrize(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
         report["table"] = {
             "t": [float(x) for x in grid.nodes],
             "area": [float(x) for x in _eval_on(area.eval, grid.nodes)],
-            "omega": [float(x) for x in _eval_on(warping.eval, grid.nodes)],
+            "omega": [float(x) for x in _eval_on(warping, grid.nodes)],
         }
     report["tolerances"] = {"theta_quadrature": "trapezoid, spectral for periodic densities"}
     return 0
@@ -371,7 +369,7 @@ def cmd_compare(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
         def w_fn(t):
             return evaluate(tree, {"t": t, "R": cfg.radius, "kappa": kappa_ref})
 
-        reference = make_warping(w_fn, cfg.radius)
+        reference = w_fn
     else:
         reference = kappa_ref
     with stage("compare"):
@@ -631,7 +629,6 @@ def main(argv=None) -> int:
         InvalidAreaError,
         InvalidMetricError,
         InvalidModelError,
-        DegenerateProfileError,
         PrecisionError,
     ) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -16,7 +16,6 @@ from .geometry import (
     PolarMetric2D,
     RadialGrid,
     RiemannianModel,
-    WarpingFunction,
     _eval_on,
     _interior_curvature,
     _spread,
@@ -25,10 +24,10 @@ from .geometry import (
     area_of,
     radiality_deviation,
     space_form_warping,
-    warping_from_area,
 )
 from .moments import run_until_converged
 from .oracle import shoot_radial_lambda1
+from .quadrature import derivative_five_point
 
 BOUND_HOLDS = "bound-holds"
 BOUND_BELOW_REFERENCE = "bound-below-reference"
@@ -116,8 +115,8 @@ def _as_target(target, grid: RadialGrid, m_theta: int):
     return area.dimension, area, 0.0
 
 
-def _reference_warping(reference, radius: float) -> WarpingFunction:
-    if isinstance(reference, WarpingFunction):
+def _reference_warping(reference, radius: float):
+    if callable(reference):
         return reference
     return space_form_warping(float(reference), radius)
 
@@ -135,7 +134,7 @@ def cheng_report(
 ) -> ComparisonReport:
     """Compare the symmetrization bound of ``target`` against a reference model.
 
-    ``kappa`` is either a space-form curvature or a warping function for a
+    ``kappa`` is either a space-form curvature or the warping callable of a
     general reference model.  The verdict is ``hypothesis-fails`` when the
     area-ratio monotonicity fails, ``bound-below-reference`` when the areas
     agree within ``slack`` yet the bound lies below the reference eigenvalue
@@ -187,7 +186,7 @@ def equality_criterion(
     """Sharpness test for a 2-D metric.
 
     True iff the mean curvature of every interior circle is radial to within
-    ``tol`` and its radial value matches w'/w of the symmetrized metric.
+    ``tol`` and its radial value matches w'/w = A'/A of the symmetrized metric.
     ``curvature`` is that field on the interior nodes, when the caller already
     has it from ``_interior_curvature``, and ``area`` the metric's
     ``area_from_polar_metric`` on the same grid.
@@ -196,8 +195,7 @@ def equality_criterion(
     if _spread(h) > tol:
         return False
     area = area_from_polar_metric(metric, grid, m_theta) if area is None else area
-    warping = warping_from_area(area)
-    interior = grid.nodes[1:-1]
-    target = _eval_on(warping.derivative_eval, interior) / _eval_on(warping.eval, interior)
-    # (n-1) w'/w with n = 2 against the angular mean of H on each circle
+    a = area.samples[1]
+    target = derivative_five_point(a, grid.spacing)[1:-1] / a[1:-1]
+    # A'/A = (n-1) w'/w with n = 2 against the angular mean of H on each circle
     return not np.any(np.abs(np.mean(h, axis=1) - target) > tol)

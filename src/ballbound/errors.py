@@ -37,10 +37,6 @@ class PrecisionError(BallboundError, ArithmeticError):
     """A quantity underflowed or lost all significant digits."""
 
 
-class DegenerateProfileError(BallboundError, ValueError):
-    """A Rayleigh-quotient profile has (numerically) zero mass."""
-
-
 class ExpressionError(BallboundError):
     """Base class for expression parsing/evaluation failures."""
 

@@ -23,16 +23,7 @@ from .errors import (
     InvalidModelError,
     PrecisionError,
 )
-from .quadrature import (
-    _pchip,
-    composite_weights,
-    derivative_five_point,
-    differentiate_callable,
-)
-
-CLOSED_FORM = "closed-form"
-SAMPLED = "sampled"
-FROM_METRIC = "from-metric"
+from .quadrature import _pchip, composite_weights
 
 # Relative radii used to spot-check positivity/limit invariants at build time.
 _CHECK_FRACTIONS = np.array([1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0])
@@ -84,29 +75,8 @@ class RadialGrid:
         return cls(radius, intervals)
 
 
-class WarpingFunction:
-    """Radial profile w(t) of a rotationally symmetric metric, with derivative."""
-
-    def __init__(self, eval: Callable, derivative_eval: Callable, source: str = CLOSED_FORM):
-        self.eval = eval
-        self.derivative_eval = derivative_eval
-        self.source = source
-
-
-def make_warping(
-    fn: Callable,
-    radius: float,
-    derivative: Callable | None = None,
-    source: str = CLOSED_FORM,
-) -> WarpingFunction:
-    """Wrap a callable as a warping function, differentiating it if needed."""
-    if derivative is None:
-        derivative = differentiate_callable(lambda t: _eval_on(fn, t), 0.0, radius)
-    return WarpingFunction(eval=fn, derivative_eval=derivative, source=source)
-
-
-def space_form_warping(kappa: float, radius: float) -> WarpingFunction:
-    """Warping of the constant-curvature space form: sin/identity/sinh profile."""
+def space_form_warping(kappa: float, radius: float) -> Callable:
+    """Warping w(t) of the constant-curvature space form: sin/identity/sinh profile."""
     if radius <= 0.0:
         raise DomainError("radius must be positive")
     if kappa > 0.0:
@@ -115,20 +85,11 @@ def space_form_warping(kappa: float, radius: float) -> WarpingFunction:
             raise DomainError(
                 f"radius {radius} reaches the conjugate locus pi/sqrt(kappa) = {math.pi / sq}"
             )
-        return WarpingFunction(
-            eval=lambda t: np.sin(sq * np.asarray(t, dtype=float)) / sq,
-            derivative_eval=lambda t: np.cos(sq * np.asarray(t, dtype=float)),
-        )
+        return lambda t: np.sin(sq * np.asarray(t, dtype=float)) / sq
     if kappa < 0.0:
         sq = math.sqrt(-kappa)
-        return WarpingFunction(
-            eval=lambda t: np.sinh(sq * np.asarray(t, dtype=float)) / sq,
-            derivative_eval=lambda t: np.cosh(sq * np.asarray(t, dtype=float)),
-        )
-    return WarpingFunction(
-        eval=lambda t: np.asarray(t, dtype=float) + 0.0,
-        derivative_eval=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-    )
+        return lambda t: np.sinh(sq * np.asarray(t, dtype=float)) / sq
+    return lambda t: np.asarray(t, dtype=float) + 0.0
 
 
 def _require_finite(values: np.ndarray, t: np.ndarray, name="A(t)", error=InvalidAreaError):
@@ -139,9 +100,9 @@ def _require_finite(values: np.ndarray, t: np.ndarray, name="A(t)", error=Invali
 
 
 class RiemannianModel:
-    """A ball of given radius carrying the metric dr^2 + w(r)^2 dS^2."""
+    """A ball of given radius carrying the metric dr^2 + w(r)^2 dS^2, w a vectorized callable."""
 
-    def __init__(self, dimension: int, radius: float, warping: WarpingFunction):
+    def __init__(self, dimension: int, radius: float, warping: Callable):
         self.dimension = dimension
         self.radius = radius
         self.warping = warping
@@ -149,39 +110,41 @@ class RiemannianModel:
             raise DomainError(f"dimension must be at least 2, got {self.dimension}")
         if self.radius <= 0.0:
             raise DomainError("radius must be positive")
-        w0 = float(_eval_on(self.warping.eval, 0.0))
+        w0 = float(_eval_on(self.warping, 0.0))
         if abs(w0) > 1e-9 * self.radius:
             raise InvalidModelError(f"warping must vanish at 0, got w(0) = {w0}")
         t_check = self.radius * _CHECK_FRACTIONS
         with np.errstate(all="ignore"):
-            samples = _eval_on(self.warping.eval, t_check)
+            samples = _eval_on(self.warping, t_check)
         _require_finite(samples, t_check, "w(t)", InvalidModelError)
         if np.any(samples <= 0.0):
             raise InvalidModelError("warping must be positive on (0, R]")
         t0 = self.radius * 1e-6
-        ratio = float(_eval_on(self.warping.eval, t0)) / t0
+        ratio = float(_eval_on(self.warping, t0)) / t0
         if abs(ratio - 1.0) > 1e-6:
-            msg = f"w(t)/t -> {ratio} near 0, expected 1 (metric smooth at the center)"
-            if self.warping.source == CLOSED_FORM:
-                raise InvalidModelError(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
+            raise InvalidModelError(
+                f"w(t)/t -> {ratio} near 0, expected 1 (metric smooth at the center)"
+            )
 
 
 class AreaFunction:
-    """Evaluator for the geodesic-sphere area A(t) of an n-dimensional ball."""
+    """Evaluator for the geodesic-sphere area A(t) of an n-dimensional ball.
+
+    ``samples`` are the (nodes, values) an interpolated area was built from.
+    A centre behaviour off the smooth-metric law is an error for a closed
+    form and a warning for samples, which a coarse grid may not resolve.
+    """
 
     def __init__(
         self,
         dimension: int,
         radius: float,
         eval: Callable,
-        source: str = CLOSED_FORM,
         samples: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         self.dimension = dimension
         self.radius = radius
         self.eval = eval
-        self.source = source
         self.samples = samples
         if self.dimension < 2:
             raise DomainError(f"dimension must be at least 2, got {self.dimension}")
@@ -194,7 +157,13 @@ class AreaFunction:
         a0 = float(_eval_on(self.eval, 0.0))
         if abs(a0) > 1e-9 * max(1.0, float(np.max(np.abs(probe)))):
             raise InvalidAreaError(f"A(0) must vanish, got {a0}")
-        if np.any(probe <= 0.0):
+        nonpositive = probe <= 0.0
+        if np.any(nonpositive):
+            lead = int(np.argmin(nonpositive))  # index of the first positive probe, 0 if none
+            if 0 < lead and not np.any(nonpositive[lead:]) and np.all(probe[:lead] == 0.0):
+                raise PrecisionError(
+                    f"A(t) underflows to 0 at t = {t_probe[0]:g} in dimension {self.dimension}"
+                )
             raise InvalidAreaError("A must be positive on (0, R]")
         if self.samples is not None:
             t1 = float(self.samples[0][1])
@@ -208,7 +177,7 @@ class AreaFunction:
                 f"A(t)/t^(n-1) -> {ratio:.6g} x vol(S^(n-1)) near 0, expected the"
                 " unit-sphere volume (metric smooth at the center)"
             )
-            if self.source == CLOSED_FORM:
+            if self.samples is None:
                 raise InvalidAreaError(msg)
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
@@ -264,21 +233,16 @@ def area_from_warping(model: RiemannianModel) -> AreaFunction:
     """Sphere area of a model: A(t) = vol(S^(n-1)) w(t)^(n-1)."""
     n = model.dimension
     vol = unit_sphere_volume(n)
-    w = model.warping.eval
+    w = model.warping
 
     def evaluate(t):
         return vol * _eval_on(w, t) ** (n - 1)
 
-    source = CLOSED_FORM if model.warping.source == CLOSED_FORM else SAMPLED
-    return AreaFunction(dimension=n, radius=model.radius, eval=evaluate, source=source)
+    return AreaFunction(dimension=n, radius=model.radius, eval=evaluate)
 
 
-def warping_from_area(area: AreaFunction) -> WarpingFunction:
-    """Invert the model-area relation: w(t) = (A(t)/vol(S^(n-1)))^(1/(n-1)).
-
-    The derivative is analytic-free: sampled areas are differentiated on their
-    own grid with five-point differences, closed forms with a fine default step.
-    """
+def warping_from_area(area: AreaFunction) -> Callable:
+    """Invert the model-area relation: w(t) = (A(t)/vol(S^(n-1)))^(1/(n-1))."""
     n = area.dimension
     vol = unit_sphere_volume(n)
 
@@ -288,17 +252,9 @@ def warping_from_area(area: AreaFunction) -> WarpingFunction:
             raise InvalidAreaError("area function is negative on the requested points")
         return (np.clip(a, 0.0, None) / vol) ** (1.0 / (n - 1))
 
-    if area.samples is not None:
-        nodes, values = area.samples
-        if np.any(values < 0.0):
-            raise InvalidAreaError("sampled area function has negative nodes")
-        w_nodes = (values / vol) ** (1.0 / (n - 1))
-        w_deriv = _pchip(nodes, derivative_five_point(w_nodes, float(nodes[1] - nodes[0])))
-        source = area.source
-    else:
-        w_deriv = differentiate_callable(w_eval, 0.0, area.radius)
-        source = area.source
-    return WarpingFunction(eval=w_eval, derivative_eval=w_deriv, source=source)
+    if area.samples is not None and np.any(area.samples[1] < 0.0):
+        raise InvalidAreaError("sampled area function has negative nodes")
+    return w_eval
 
 
 def _angles(m_theta: int) -> np.ndarray:
@@ -337,7 +293,6 @@ def area_from_polar_metric(
         dimension=2,
         radius=grid.radius,
         eval=evaluate,
-        source=FROM_METRIC,
         samples=(nodes.copy(), samples),
     )
 
@@ -396,14 +351,9 @@ def _spread(h: np.ndarray) -> float:
     return float(np.max(np.ptp(h, axis=1)))
 
 
-def polar_metric_from_warping(warping: WarpingFunction, radius: float) -> PolarMetric2D:
+def polar_metric_from_warping(warping: Callable, radius: float) -> PolarMetric2D:
     """The 2-D polar metric with theta-independent density rho(r, theta) = w(r)."""
-
-    return PolarMetric2D(
-        radius=radius,
-        density=lambda r, theta: warping.eval(r),
-        density_r=lambda r, theta: warping.derivative_eval(r),
-    )
+    return PolarMetric2D(radius=radius, density=lambda r, theta: warping(r))
 
 
 def euclidean_model(dimension: int, radius: float) -> RiemannianModel:

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     BracketError,
     ConvergenceError,
-    DegenerateProfileError,
     DomainError,
     InvalidModelError,
     PrecisionError,
@@ -35,10 +34,9 @@ from .geometry import (
     _eval_on,
     _eval_on2,
     _require_finite,
-    area_from_polar_metric,
     unit_sphere_volume,
 )
-from .quadrature import derivative_five_point, richardson_estimate, richardson_extrapolate
+from .quadrature import richardson_estimate, richardson_extrapolate
 
 # First Dirichlet eigenvalue of the unit disc (square of the first J0 zero);
 # only used to scale the default shooting bracket.
@@ -78,8 +76,8 @@ def _model_area_arrays(model: RiemannianModel, nodes: np.ndarray, h: float):
     n = model.dimension
     vol = unit_sphere_volume(n)
     mids = nodes[:-1] + 0.5 * h
-    w_nodes = _eval_on(model.warping.eval, nodes)
-    w_mid = _eval_on(model.warping.eval, mids)
+    w_nodes = _eval_on(model.warping, nodes)
+    w_mid = _eval_on(model.warping, mids)
     if np.any(w_nodes[1:] <= 0.0) or np.any(w_mid[1:] <= 0.0):
         raise InvalidModelError("warping must stay positive inside the ball")
     with np.errstate(all="ignore"):
@@ -392,35 +390,6 @@ def eigen_2d_refined(
     return fine, estimate, extrapolated
 
 
-def rayleigh_quotient_2d(
-    metric: PolarMetric2D,
-    grid: RadialGrid,
-    radial_profile: np.ndarray,
-    m_theta: int = 256,
-) -> float:
-    """Rayleigh quotient of a radial trial function against a 2-D polar metric.
-
-    For radial profiles the angular integrals collapse onto the area function,
-    so the quotient equals int f'^2 A dt / int f^2 A dt.
-    """
-    f = np.asarray(radial_profile, dtype=float)
-    if f.shape != grid.nodes.shape:
-        raise DomainError("profile must be sampled on the grid nodes")
-    peak = float(np.max(np.abs(f)))
-    if peak == 0.0:
-        raise DegenerateProfileError("profile is identically zero")
-    if abs(f[-1]) > 1e-9 * peak:
-        raise DomainError("profile must vanish at r = R")
-    area = area_from_polar_metric(metric, grid, m_theta)
-    a = area.samples[1]
-    df = derivative_five_point(f, grid.spacing)
-    num = float(grid.weights @ (df**2 * a))
-    den = float(grid.weights @ (f**2 * a))
-    if den <= 0.0 or not math.isfinite(den):
-        raise DegenerateProfileError("profile has numerically zero mass")
-    return num / den
-
-
 __all__ = [
     "EigenResult",
     "Mesh2D",
@@ -428,5 +397,4 @@ __all__ = [
     "build_discrete_laplacian",
     "eigen_2d_polar",
     "eigen_2d_refined",
-    "rayleigh_quotient_2d",
 ]

@@ -27,15 +27,6 @@ _END_CORRECTION = np.array([-16.0, 7.0, -4.0, 1.0]) / 24.0
 _D_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _D_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
-# Derivatives of the degree-4 Lagrange basis on the stencil {-2,...,2},
-# used to differentiate callables at arbitrary offsets inside the stencil.
-_STENCIL = np.arange(-2.0, 3.0)
-_LAGRANGE_DERIV = []
-for _m in _STENCIL:
-    _roots = [x for x in _STENCIL if x != _m]
-    _den = np.prod([_m - x for x in _roots])
-    _LAGRANGE_DERIV.append(np.polyder(np.poly1d(np.poly(_roots) / _den)))
-
 
 def composite_weights(n_nodes: int, dx: float) -> np.ndarray:
     """Definite-integral weights on a uniform grid, global error O(dx^4)."""
@@ -83,35 +74,6 @@ def derivative_five_point(y: np.ndarray, dx: float) -> np.ndarray:
     dy[-1] = -(_D_EDGE0 @ y[-5:][::-1]) / dx
     dy[-2] = -(_D_EDGE1 @ y[-5:][::-1]) / dx
     return dy
-
-
-def differentiate_callable(
-    f: Callable, lo: float, hi: float, step: float | None = None
-) -> Callable:
-    """Five-point finite-difference derivative of ``f`` on [lo, hi].
-
-    The stencil is shifted near the interval ends so evaluations never leave
-    [lo, hi].  Accepts scalars or arrays; exact for quartic polynomials.
-    """
-    if hi <= lo:
-        raise DomainError("need hi > lo to differentiate a callable")
-    h = (hi - lo) / 4096.0 if step is None else float(step)
-    if not 0.0 < 4.0 * h <= hi - lo:
-        raise DomainError("finite-difference step does not fit the interval")
-
-    def deriv(t):
-        arr = np.asarray(t, dtype=float)
-        center = np.clip(arr, lo + 2.0 * h, hi - 2.0 * h)
-        s = (arr - center) / h
-        total = np.zeros_like(arr)
-        for offset, basis in zip(_STENCIL, _LAGRANGE_DERIV):
-            total = total + np.polyval(basis.coeffs, s) * np.asarray(
-                f(center + offset * h), dtype=float
-            )
-        out = total / h
-        return out if np.ndim(t) else float(out)
-
-    return deriv
 
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:

@@ -18,6 +18,7 @@ from ballbound import (
     PolarMetric2D,
     RadialGrid,
     RiemannianModel,
+    area_from_polar_metric,
     bumped_disc_metric,
     euclidean_model,
     polar_metric_from_warping,
@@ -35,6 +36,7 @@ from ballbound.exprparse import (
     Piecewise,
     Var,
 )
+from ballbound.quadrature import derivative_five_point
 
 # Independent reference eigenvalues (Bessel zero via scipy, classical values).
 J0_SQUARED = float(jn_zeros(0, 1)[0] ** 2)
@@ -246,6 +248,18 @@ def reference_lambda1(metric: PolarMetric2D, mesh: Mesh2D, tol: float) -> float:
             return lam_new
         lam, x = lam_new, y
     raise AssertionError("reference inverse iteration did not converge")
+
+
+def reference_rayleigh_quotient(
+    metric: PolarMetric2D, grid: RadialGrid, profile: np.ndarray, m_theta: int
+) -> float:
+    """Rayleigh quotient int f'^2 A / int f^2 A of a radial trial function on a 2-D metric.
+
+    For a radial profile the angular integrals collapse onto the area function.
+    """
+    a = area_from_polar_metric(metric, grid, m_theta).samples[1]
+    df = derivative_five_point(profile, grid.spacing)
+    return float(grid.weights @ (df**2 * a)) / float(grid.weights @ (profile**2 * a))
 
 
 def bump_curvature_oracle(t: float, theta: float) -> float:

@@ -518,6 +518,19 @@ class TestOutputsAndCodes:
         assert code == 5
         assert "is not finite at t =" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dimension", ["60", "100"])
+    @pytest.mark.parametrize("command", ["symmetrize", "bound", "compare"])
+    def test_underflowing_area_is_named(self, command, dimension, capsys):
+        # vol * t^(n-1) is exactly 0 at the area's first probe t = 1e-6 R,
+        # which used to read as "A must be positive on (0, R]"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--builtin", "euclidean", "--dimension", dimension])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert f"A(t) underflows to 0 at t = 1e-06 in dimension {dimension}" in err
+        assert err.count("\n") == 1
+
     def test_expression_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"kind": "warping", "omega": "sin(q)", "radius": 1.0}))

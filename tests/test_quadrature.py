@@ -8,7 +8,6 @@ from ballbound.quadrature import (
     composite_weights,
     cumulative_integral,
     derivative_five_point,
-    differentiate_callable,
     richardson_estimate,
     richardson_extrapolate,
 )
@@ -61,15 +60,6 @@ def test_derivative_exact_for_quartics():
     y = x**4 - 3.0 * x**2 + x
     expect = 4.0 * x**3 - 6.0 * x + 1.0
     assert np.max(np.abs(derivative_five_point(y, x[1] - x[0]) - expect)) < 1e-11
-
-
-def test_differentiate_callable_matches_analytic():
-    deriv = differentiate_callable(np.sin, 0.0, 1.0)
-    x = np.linspace(0.0, 1.0, 11)
-    # rounding floor is eps/h with h = 1/4096
-    assert np.max(np.abs(deriv(x) - np.cos(x))) < 1e-11
-    assert abs(deriv(0.0) - 1.0) < 1e-11
-    assert abs(deriv(1.0) - np.cos(1.0)) < 1e-11
 
 
 @pytest.mark.parametrize("nodes", ["uniform", "non-uniform"])
