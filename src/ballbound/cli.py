@@ -73,7 +73,14 @@ from .moments import run_until_converged
 from .oracle import Mesh2D, eigen_2d_refined, shoot_radial_lambda1
 
 BUILTINS = ("euclidean", "spherical", "hyperbolic", "paper-example")
-KINDS = ("warping", "area", "polar2d", "builtin")
+# kind -> (the config field that specifies the model, the variables its
+# expression reads besides R and kappa)
+KINDS = {
+    "warping": ("omega", ("t",)),
+    "area": ("area", ("t",)),
+    "polar2d": ("rho", ("r", "theta")),
+    "builtin": ("builtin", ()),
+}
 _FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}  # by annotation; never bool
 
 REPORT_SCHEMA = {
@@ -120,53 +127,38 @@ REPORT_SCHEMA = {
 class ModelConfig:
     """One model specification: a warping/area expression, a 2-D density, or a builtin."""
 
-    def __init__(
-        self,
-        name: str = "model",
-        dimension: int = 2,
-        radius: float = 1.0,
-        kind: str = "builtin",
-        omega: str | None = None,
-        area: str | None = None,
-        rho: str | None = None,
-        builtin: str | None = None,
-        kappa: float | None = None,
-        reference_warping: str | None = None,
-    ):
-        self.name = name
-        self.dimension = dimension
-        self.radius = radius
-        self.kind = kind
-        self.omega = omega
-        self.area = area
-        self.rho = rho
-        self.builtin = builtin
-        self.kappa = kappa
-        self.reference_warping = reference_warping
+    # field name -> (annotation, default), in declaration order: the accepted
+    # config keys, their validated types, their defaults and the key order of
+    # the report's config.model
+    FIELDS = {
+        "name": ("str", "model"),
+        "dimension": ("int", 2),
+        "radius": ("float", 1.0),
+        "kind": ("str", "builtin"),
+        "omega": ("str | None", None),
+        "area": ("str | None", None),
+        "rho": ("str | None", None),
+        "builtin": ("str | None", None),
+        "kappa": ("float | None", None),
+        "reference_warping": ("str | None", None),
+    }
 
-    # field name -> annotation, in declaration order: the accepted config keys,
-    # their validated types and the key order of the report's config.model
-    FIELDS = __init__.__annotations__
+    def __init__(self, **fields):
+        for name, (_, default) in self.FIELDS.items():
+            setattr(self, name, fields.get(name, default))
 
     def validate(self) -> "ModelConfig":
-        for name, annotation in self.FIELDS.items():
+        for name, (annotation, _) in self.FIELDS.items():
             value, kind = getattr(self, name), annotation.removesuffix(" | None")
             if value is None and kind != annotation:
                 continue
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
                 raise ConfigError(f"{name} must be {annotation}, got {value!r}")
         if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        provided = {
-            "omega": self.omega,
-            "area": self.area,
-            "rho": self.rho,
-            "builtin": self.builtin,
-        }
-        expected = {"warping": "omega", "area": "area", "polar2d": "rho", "builtin": "builtin"}[
-            self.kind
-        ]
-        for key, value in provided.items():
+            raise ConfigError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
+        expected = KINDS[self.kind][0]
+        for key, _ in KINDS.values():
+            value = getattr(self, key)
             if key == expected and value is None:
                 raise ConfigError(f"kind {self.kind!r} requires the {key!r} field")
             if key != expected and value is not None:
@@ -203,58 +195,47 @@ def _split_builtin(spec: str) -> tuple[str, float | None]:
     return m.group(1), kappa
 
 
-def _expression_tree(source: str, allowed: set[str]):
+def _expression_fn(source: str, variables: tuple[str, ...], radius: float, kappa: float):
+    """The vectorized callable of expression ``source`` in ``variables``, with R and kappa bound."""
     tree = parse(source)
-    stray = free_variables(tree) - allowed - {"R", "kappa"}
+    stray = free_variables(tree) - {*variables, "R", "kappa"}
     if stray:
         raise ConfigError(
             f"expression {source!r} uses unsupported variable(s) {sorted(stray)}"
         )
-    return tree
+
+    def fn(*args):
+        return evaluate(tree, dict(zip(variables, args), R=radius, kappa=kappa))
+
+    return fn
 
 
 def build_target(cfg: ModelConfig) -> RiemannianModel | PolarMetric2D | AreaFunction:
     """Materialize the geometry object of a validated config: a model, a 2-D metric or an area."""
     kappa = cfg.kappa if cfg.kappa is not None else 0.0
-    radius = cfg.radius
-    if cfg.kind == "warping":
-        tree = _expression_tree(cfg.omega, {"t"})
-
-        def w_fn(t):
-            return evaluate(tree, {"t": t, "R": radius, "kappa": kappa})
-
-        return RiemannianModel(cfg.dimension, radius, w_fn)
-    if cfg.kind == "area":
-        tree = _expression_tree(cfg.area, {"t"})
-
-        def a_fn(t):
-            return evaluate(tree, {"t": t, "R": radius, "kappa": kappa})
-
-        return AreaFunction(dimension=cfg.dimension, radius=radius, eval=a_fn)
-    if cfg.kind == "polar2d":
-        tree = _expression_tree(cfg.rho, {"r", "theta"})
-
-        def rho_fn(r, theta):
-            return evaluate(tree, {"r": r, "theta": theta, "R": radius, "kappa": kappa})
-
-        metric = PolarMetric2D(radius=radius, density=rho_fn)
-        return metric
+    if cfg.kind != "builtin":
+        field, variables = KINDS[cfg.kind]
+        fn = _expression_fn(getattr(cfg, field), variables, cfg.radius, kappa)
+        if cfg.kind == "warping":
+            return RiemannianModel(cfg.dimension, cfg.radius, fn)
+        if cfg.kind == "area":
+            return AreaFunction(dimension=cfg.dimension, radius=cfg.radius, eval=fn)
+        return PolarMetric2D(radius=cfg.radius, density=fn)
 
     name, inline_kappa = _split_builtin(cfg.builtin)
     if name == "euclidean":
-        return euclidean_model(cfg.dimension, radius)
+        return euclidean_model(cfg.dimension, cfg.radius)
     if name in ("spherical", "hyperbolic"):
-        default = 1.0 if name == "spherical" else -1.0
         if inline_kappa is not None:
             kappa = inline_kappa
         elif cfg.kappa is None:
-            kappa = default
+            kappa = 1.0 if name == "spherical" else -1.0
         if name == "spherical" and kappa <= 0.0:
             raise ConfigError("the spherical builtin needs kappa > 0")
         if name == "hyperbolic" and kappa >= 0.0:
             raise ConfigError("the hyperbolic builtin needs kappa < 0")
-        return space_form_model(cfg.dimension, kappa, radius)
-    return bumped_disc_metric(radius)
+        return space_form_model(cfg.dimension, kappa, cfg.radius)
+    return bumped_disc_metric(cfg.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +344,9 @@ def cmd_compare(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
     target = build_target(cfg)
     kappa_ref = args.kappa if args.kappa is not None else 0.0
     ref_warping = args.ref_warping or cfg.reference_warping
+    reference = kappa_ref
     if ref_warping is not None:
-        tree = _expression_tree(ref_warping, {"t"})
-
-        def w_fn(t):
-            return evaluate(tree, {"t": t, "R": cfg.radius, "kappa": kappa_ref})
-
-        reference = w_fn
-    else:
-        reference = kappa_ref
+        reference = _expression_fn(ref_warping, KINDS["warping"][1], cfg.radius, kappa_ref)
     with stage("compare"):
         outcome = cheng_report(
             target,
@@ -518,25 +493,21 @@ def _load_config(args) -> ModelConfig:
         if args.config:
             raise ConfigError("give either --config or --builtin, not both")
         data = {"kind": "builtin", "builtin": args.builtin}
+    # flags override the file; paper-example fixes every field but the radius,
+    # and under compare, --kappa is the curvature of the reference
+    flags = {"radius": args.radius, "dimension": args.dimension, "kappa": args.kappa}
     if args.command == "paper-example":
         data = {"kind": "builtin", "builtin": "paper-example", "name": "paper-example"}
-        data["radius"] = args.radius if args.radius is not None else 3.0
+        flags = {"radius": args.radius}
+    elif args.command == "compare":
+        del flags["kappa"]
     if not data:
         raise ConfigError("a model is required: pass --config FILE or --builtin ID")
-    cfg = ModelConfig(**{**{"name": "model"}, **data})
-    if args.command != "paper-example":
-        if args.radius is not None:
-            cfg.radius = args.radius
-        if args.dimension is not None:
-            cfg.dimension = args.dimension
-        if args.kappa is not None and args.command != "compare":
-            cfg.kappa = args.kappa
-    cfg.validate()
-    if cfg.kind == "builtin" and cfg.builtin is not None:
-        name, _ = _split_builtin(cfg.builtin)
-        if name == "paper-example" and args.command != "paper-example":
-            if args.radius is None and "radius" not in data:
-                cfg.radius = 3.0
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    cfg = ModelConfig(**data).validate()
+    if cfg.kind == "builtin" and _split_builtin(cfg.builtin)[0] == "paper-example":
+        if "radius" not in data:
+            cfg.radius = 3.0  # the radius of the paper's example
     return cfg
 
 

@@ -82,16 +82,13 @@ def monotonicity_check(
     area_g: AreaFunction,
     area_ref: AreaFunction,
     grid: RadialGrid,
-    slack: float = DEFAULT_SLACK,
 ) -> tuple[bool, np.ndarray]:
     """Discrete test that t -> A_g(t)/A_ref(t) decreases along the grid.
 
     The ratio at t = 0 is pinned to 1 (both areas share the leading
-    coefficient vol(S^(n-1)) t^(n-1)); ``slack`` absorbs rounding so constant
-    profiles count as decreasing.
+    coefficient vol(S^(n-1)) t^(n-1)); ``DEFAULT_SLACK`` absorbs rounding so
+    constant profiles count as decreasing.
     """
-    if slack < 0.0:
-        raise DomainError("slack must be non-negative")
     t = grid.nodes[1:]
     ag = _eval_on(area_g.eval, t)
     ar = _eval_on(area_ref.eval, t)
@@ -100,7 +97,7 @@ def monotonicity_check(
     if np.any(ag <= 0.0) or np.any(ar < 0.0):
         raise DomainError("areas must be positive on (0, R]")
     profile = np.concatenate([[1.0], ag / ar])
-    ok = bool(np.all(profile[1:] <= profile[:-1] * (1.0 + slack)))
+    ok = bool(np.all(profile[1:] <= profile[:-1] * (1.0 + DEFAULT_SLACK)))
     return ok, profile
 
 
@@ -129,7 +126,6 @@ def cheng_report(
     *,
     m_theta: int = 256,
     k_max: int = 200,
-    slack: float = DEFAULT_SLACK,
     model_id: str = "model",
 ) -> ComparisonReport:
     """Compare the symmetrization bound of ``target`` against a reference model.
@@ -137,7 +133,7 @@ def cheng_report(
     ``kappa`` is either a space-form curvature or the warping callable of a
     general reference model.  The verdict is ``hypothesis-fails`` when the
     area-ratio monotonicity fails, ``bound-below-reference`` when the areas
-    agree within ``slack`` yet the bound lies below the reference eigenvalue
+    agree within ``DEFAULT_SLACK`` yet the bound lies below the reference eigenvalue
     by more than the combined tolerance, ``equality-candidate`` when bound,
     reference and the radiality test agree within tolerance, and
     ``bound-holds`` otherwise.  ``converged`` is false when the hierarchy
@@ -147,7 +143,7 @@ def cheng_report(
     ref_model = RiemannianModel(n, grid.radius, _reference_warping(kappa, grid.radius))
     area_ref = area_from_warping(ref_model)
 
-    monotone_ok, profile = monotonicity_check(area_g, area_ref, grid, slack)
+    monotone_ok, profile = monotonicity_check(area_g, area_ref, grid)
     norm_series, _, _ = run_until_converged(area_g, grid, tol, k_max)
     bound = norm_series.final
     reference = shoot_radial_lambda1(ref_model, grid, tol)
@@ -155,7 +151,7 @@ def cheng_report(
 
     if not monotone_ok:
         verdict = HYPOTHESIS_FAILS
-    elif bound < reference.lambda1 - combined and np.all(np.abs(profile - 1.0) <= slack):
+    elif bound < reference.lambda1 - combined and np.all(np.abs(profile - 1.0) <= DEFAULT_SLACK):
         # equal areas: the norm ratios bound the reference eigenvalue from above
         verdict = BOUND_BELOW_REFERENCE
     elif abs(bound - reference.lambda1) <= combined and deviation <= max(tol, 1e-8):

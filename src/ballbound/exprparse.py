@@ -21,6 +21,7 @@ where their guard holds, so guarded singularities stay silent.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import NamedTuple, Union
 
@@ -46,7 +47,16 @@ FUNCTIONS = {
     "max": 2,
 }
 
-_CMP_OPS = ("<=", ">=", "<", ">")
+_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
+
+# binary operator -> (precedence, function); "^" is apart: checked, right-associative
+_ARITHMETIC = {
+    "+": (_ADD, operator.add),
+    "-": (_ADD, operator.sub),
+    "*": (_MUL, operator.mul),
+    "/": (_MUL, operator.truediv),
+}
+_COMPARISONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
 
 # Tree nodes are named tuples, so equality ignores the node type; parsed trees
 # still compare as trees, since no two node types share field values (the
@@ -150,17 +160,16 @@ class _Parser:
         return node
 
     def expr(self) -> Expression:
-        node = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+        return self.chain(_ADD, self.term)
 
     def term(self) -> Expression:
-        node = self.factor()
-        while self.peek().text in ("*", "/"):
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
+        return self.chain(_MUL, self.factor)
+
+    def chain(self, level: int, operand) -> Expression:
+        node = operand()
+        while (op := self.peek().text) in _ARITHMETIC and _ARITHMETIC[op][0] == level:
+            self.advance()
+            node = BinOp(op, node, operand())
         return node
 
     def factor(self) -> Expression:
@@ -225,7 +234,7 @@ class _Parser:
         while True:
             node = self.expr()
             tok = self.peek()
-            if tok.text in _CMP_OPS:
+            if tok.text in _COMPARISONS:
                 self.advance()
                 cond = Comparison(tok.text, node, self.expr())
                 self.expect(":")
@@ -251,16 +260,10 @@ def parse(source: str) -> Expression:
 # ---------------------------------------------------------------------------
 # printing
 
-_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
-
 
 def _prec(node: Expression) -> int:
     if isinstance(node, BinOp):
-        if node.op in ("+", "-"):
-            return _ADD
-        if node.op in ("*", "/"):
-            return _MUL
-        return _POW
+        return _ARITHMETIC[node.op][0] if node.op in _ARITHMETIC else _POW
     if isinstance(node, Neg):
         return _NEG
     return _ATOM
@@ -282,9 +285,9 @@ def format_expression(node: Expression) -> str:
     if isinstance(node, BinOp):
         left = format_expression(node.left)
         right = format_expression(node.right)
-        if node.op in ("+", "-"):
+        if _prec(node) == _ADD:
             return f"{left} {node.op} {_wrap(right, _prec(node.right) <= _ADD)}"
-        if node.op in ("*", "/"):
+        if _prec(node) == _MUL:
             return (
                 _wrap(left, _prec(node.left) < _MUL)
                 + node.op
@@ -359,17 +362,11 @@ def _eval(node: Expression, env: dict):
     if isinstance(node, BinOp):
         left = _eval(node.left, env)
         right = _eval(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if np.any(np.asarray(right) == 0.0):
-                _fail(node, "division by zero")
-            return left / right
-        return _power(node, left, right)
+        if node.op == "^":
+            return _power(node, left, right)
+        if node.op == "/" and np.any(np.asarray(right) == 0.0):
+            _fail(node, "division by zero")
+        return _ARITHMETIC[node.op][1](left, right)
     if isinstance(node, Call):
         args = [_eval(a, env) for a in node.args]
         name = node.name
@@ -389,15 +386,7 @@ def _eval(node: Expression, env: dict):
             return np.maximum(args[0], args[1])
         return getattr(np, name)(args[0])
     if isinstance(node, Comparison):
-        left = _eval(node.left, env)
-        right = _eval(node.right, env)
-        if node.op == "<":
-            return left < right
-        if node.op == "<=":
-            return left <= right
-        if node.op == ">":
-            return left > right
-        return left >= right
+        return _COMPARISONS[node.op](_eval(node.left, env), _eval(node.right, env))
     if isinstance(node, Piecewise):
         return _eval_piecewise(node, env)
     raise TypeError(f"not an expression node: {node!r}")

@@ -11,6 +11,7 @@ sphere areas.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from typing import Callable
 
@@ -39,18 +40,20 @@ def unit_sphere_volume(n: int) -> float:
         raise PrecisionError(f"the volume of the unit sphere overflows in dimension {n}") from None
 
 
-def _eval_on(fn: Callable, x) -> np.ndarray:
-    """Evaluate a vectorized callable on an array; the result broadcasts to its shape."""
-    arr = np.asarray(x, dtype=float)
-    return np.broadcast_to(np.asarray(fn(arr), dtype=float), arr.shape)
+def _eval_on(fn: Callable, *args) -> np.ndarray:
+    """Evaluate a vectorized callable on arrays; the result broadcasts to their common shape."""
+    arrays = [np.asarray(x, dtype=float) for x in args]
+    shape = np.broadcast_shapes(*(arr.shape for arr in arrays))
+    return np.broadcast_to(np.asarray(fn(*arrays), dtype=float), shape)
 
 
-def _eval_on2(fn: Callable, r, theta) -> np.ndarray:
-    """Two-argument version of :func:`_eval_on`, on the broadcast shape of r and theta."""
-    rr = np.asarray(r, dtype=float)
-    tt = np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(rr.shape, tt.shape)
-    return np.broadcast_to(np.asarray(fn(rr, tt), dtype=float), shape)
+def _check_radius(radius: float) -> None:
+    """Reject a ball radius that is not positive, or whose innermost check
+    point 1e-6 R (see ``_CHECK_FRACTIONS``) is not a normal float."""
+    if radius <= 0.0:
+        raise DomainError("radius must be positive")
+    if radius * 1e-6 < sys.float_info.min:
+        raise PrecisionError(f"radius {radius!r} is too small: 1e-6 R is not a normal float")
 
 
 class RadialGrid:
@@ -59,8 +62,7 @@ class RadialGrid:
     def __init__(self, radius: float, intervals: int):
         if intervals < 8:
             raise DomainError(f"need at least 8 intervals, got {intervals}")
-        if radius <= 0.0:
-            raise DomainError("grid radius must be positive")
+        _check_radius(radius)
         self.radius = radius
         self.intervals = intervals
         self.spacing = radius / intervals
@@ -77,8 +79,7 @@ class RadialGrid:
 
 def space_form_warping(kappa: float, radius: float) -> Callable:
     """Warping w(t) of the constant-curvature space form: sin/identity/sinh profile."""
-    if radius <= 0.0:
-        raise DomainError("radius must be positive")
+    _check_radius(radius)
     if kappa > 0.0:
         sq = math.sqrt(kappa)
         if radius >= math.pi / sq:
@@ -108,8 +109,7 @@ class RiemannianModel:
         self.warping = warping
         if self.dimension < 2:
             raise DomainError(f"dimension must be at least 2, got {self.dimension}")
-        if self.radius <= 0.0:
-            raise DomainError("radius must be positive")
+        _check_radius(self.radius)
         w0 = float(_eval_on(self.warping, 0.0))
         if abs(w0) > 1e-9 * self.radius:
             raise InvalidModelError(f"warping must vanish at 0, got w(0) = {w0}")
@@ -148,8 +148,7 @@ class AreaFunction:
         self.samples = samples
         if self.dimension < 2:
             raise DomainError(f"dimension must be at least 2, got {self.dimension}")
-        if self.radius <= 0.0:
-            raise DomainError("radius must be positive")
+        _check_radius(self.radius)
         t_probe = self.radius * _CHECK_FRACTIONS
         with np.errstate(all="ignore"):
             probe = _eval_on(self.eval, t_probe)
@@ -188,23 +187,22 @@ class PolarMetric2D:
     def __init__(self, radius: float, density: Callable, density_r: Callable | None = None):
         self.radius = radius
         self.density = density
-        if self.radius <= 0.0:
-            raise DomainError("radius must be positive")
+        _check_radius(self.radius)
         if density_r is None:
             density_r = _fd_density_r(density, radius)
         self.density_r = density_r
         theta = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
         radii = self.radius * _CHECK_FRACTIONS
-        vals = _eval_on2(self.density, radii[:, None], theta[None, :])
+        vals = _eval_on(self.density, radii[:, None], theta[None, :])
         if np.any(vals <= 0.0):
             raise InvalidMetricError("density must be positive on (0, R] x [0, 2 pi)")
         wrap = np.abs(
-            _eval_on2(self.density, radii, 0.0) - _eval_on2(self.density, radii, 2.0 * math.pi)
+            _eval_on(self.density, radii, 0.0) - _eval_on(self.density, radii, 2.0 * math.pi)
         )
         if np.any(wrap > 1e-12 * np.max(vals)):
             raise InvalidMetricError("density must be 2 pi periodic in theta")
         r0 = self.radius * 1e-6
-        ratios = _eval_on2(self.density, r0, theta) / r0
+        ratios = _eval_on(self.density, r0, theta) / r0
         if np.max(np.abs(ratios - 1.0)) > 1e-3:
             warnings.warn(
                 "density/r does not tend to 1 at the center; the metric may be"
@@ -222,8 +220,8 @@ def _fd_density_r(density: Callable, radius: float) -> Callable:
         rr = np.asarray(r, dtype=float)
         h = np.minimum(h0, np.minimum(rr, radius - rr) / 2.0)
         h = np.maximum(h, radius * 1e-12)
-        up = _eval_on2(density, rr + h, theta)
-        down = _eval_on2(density, rr - h, theta)
+        up = _eval_on(density, rr + h, theta)
+        down = _eval_on(density, rr - h, theta)
         return (up - down) / (2.0 * h)
 
     return deriv
@@ -275,7 +273,7 @@ def area_from_polar_metric(
     theta = _angles(m_theta)
     if abs(grid.radius - metric.radius) > 1e-12 * metric.radius:
         raise DomainError("grid radius must match the metric radius")
-    rho = _eval_on2(metric.density, grid.nodes[1:, None], theta[None, :])
+    rho = _eval_on(metric.density, grid.nodes[1:, None], theta[None, :])
     values = rho.sum(axis=1) * (2.0 * math.pi / m_theta)
     if np.any(values <= 0.0):
         raise InvalidMetricError("angular quadrature of the density is not positive")
@@ -322,13 +320,13 @@ def mean_curvature_field(metric: PolarMetric2D, t, theta):
     outside = ~((0.0 < tt) & (tt < metric.radius))
     if np.any(outside):
         raise DomainError(f"t must lie strictly inside (0, R), got {float(tt[outside][0])}")
-    rho = _eval_on2(metric.density, tt, theta)
+    rho = _eval_on(metric.density, tt, theta)
     bad = rho <= 0.0
     if np.any(bad):
         raise InvalidMetricError(
             f"density is not positive at t = {float(np.broadcast_to(tt, rho.shape)[bad][0])}"
         )
-    out = _eval_on2(metric.density_r, tt, theta) / rho
+    out = _eval_on(metric.density_r, tt, theta) / rho
     return out if out.ndim else float(out)
 
 

@@ -32,7 +32,6 @@ from .geometry import (
     RadialGrid,
     RiemannianModel,
     _eval_on,
-    _eval_on2,
     _require_finite,
     unit_sphere_volume,
 )
@@ -294,10 +293,10 @@ def build_discrete_laplacian(metric: PolarMetric2D, mesh: Mesh2D):
     theta = dth * np.arange(m_t)
 
     r_face = dr * (np.arange(m_r) + 0.5)
-    rho_face = _eval_on2(metric.density, r_face[:, None], theta[None, :])
-    rho_ring = _eval_on2(metric.density, r_ring[:, None], theta[None, :])
-    rho_ang = _eval_on2(metric.density, r_ring[:, None], (theta + 0.5 * dth)[None, :])
-    rho_center = _eval_on2(metric.density, 0.25 * dr, theta)
+    rho_face = _eval_on(metric.density, r_face[:, None], theta[None, :])
+    rho_ring = _eval_on(metric.density, r_ring[:, None], theta[None, :])
+    rho_ang = _eval_on(metric.density, r_ring[:, None], (theta + 0.5 * dth)[None, :])
+    rho_center = _eval_on(metric.density, 0.25 * dr, theta)
     if any(np.any(rho <= 0.0) for rho in (rho_face, rho_ring, rho_ang, rho_center)):
         raise DomainError("density must be positive on the mesh")
 

@@ -25,7 +25,7 @@ from ballbound import (
     space_form_model,
     space_form_warping,
 )
-from ballbound.geometry import _eval_on2
+from ballbound.geometry import _eval_on
 from ballbound.exprparse import (
     BinOp,
     Call,
@@ -139,10 +139,10 @@ def reference_laplacian(metric: PolarMetric2D, mesh: Mesh2D):
     theta = dth * np.arange(m_t)
 
     r_face = dr * (np.arange(m_r) + 0.5)
-    rho_face = _eval_on2(metric.density, r_face[:, None], theta[None, :])
-    rho_ring = _eval_on2(metric.density, r_ring[:, None], theta[None, :])
-    rho_ang = _eval_on2(metric.density, r_ring[:, None], (theta + 0.5 * dth)[None, :])
-    rho_center = _eval_on2(metric.density, 0.25 * dr, theta)
+    rho_face = _eval_on(metric.density, r_face[:, None], theta[None, :])
+    rho_ring = _eval_on(metric.density, r_ring[:, None], theta[None, :])
+    rho_ang = _eval_on(metric.density, r_ring[:, None], (theta + 0.5 * dth)[None, :])
+    rho_center = _eval_on(metric.density, 0.25 * dr, theta)
     c_rad = rho_face * dth / dr          # conductance across radial faces
     c_ang = dr / (dth * rho_ang)         # conductance across angular faces
     mass = np.append(rho_ring * dr * dth, np.sum(rho_center) * 0.5 * dr * dth)

@@ -379,6 +379,128 @@ class TestConfigFiles:
         assert report["comparison"]["verdict"] == "bound-holds"
 
 
+class TestConfigContract:
+    """The accepted config fields, the field each kind needs, the variables its
+    expression may read, and how flags and builtins fill the model config."""
+
+    @staticmethod
+    def run_config(tmp_path, capsys, config, *argv, command="bound"):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        code = main([command, "--config", str(cfg), *argv, "--grid", "64"])
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def model_of(tmp_path, *argv):
+        code, report = run_json(tmp_path, *argv)
+        assert code == 0
+        return report["config"]["model"]
+
+    def test_unknown_field(self, tmp_path, capsys):
+        config = {"kind": "builtin", "builtin": "euclidean", "radios": 2.0}
+        code, err = self.run_config(tmp_path, capsys, config)
+        assert (code, err) == (1, "error: unknown config field(s): radios\n")
+
+    def test_unknown_kind(self, tmp_path, capsys):
+        code, err = self.run_config(tmp_path, capsys, {"kind": "density", "rho": "r"})
+        assert code == 1
+        assert err == (
+            "error: kind must be one of ('warping', 'area', 'polar2d', 'builtin'),"
+            " got 'density'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"kind": "warping"}, "kind 'warping' requires the 'omega' field"),
+            ({"kind": "area", "omega": "t"}, "kind 'area' does not accept the 'omega' field"),
+            ({"kind": "polar2d"}, "kind 'polar2d' requires the 'rho' field"),
+            ({"kind": "builtin"}, "kind 'builtin' requires the 'builtin' field"),
+            ({"kind": "warping", "omega": "t", "rho": "r"},
+             "kind 'warping' does not accept the 'rho' field"),
+            ({"kind": "polar2d", "rho": "r", "area": "2*pi*t"},
+             "kind 'polar2d' does not accept the 'area' field"),
+            ({"builtin": "euclidean", "omega": "t"},
+             "kind 'builtin' does not accept the 'omega' field"),
+        ],
+        ids=["warping-bare", "area-with-omega", "polar2d-bare", "builtin-bare",
+             "warping-with-rho", "polar2d-with-area", "builtin-with-omega"],
+    )
+    def test_kind_fields(self, tmp_path, capsys, config, message):
+        code, err = self.run_config(tmp_path, capsys, config)
+        assert (code, err) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "config,stray",
+        [
+            ({"kind": "warping", "omega": "sin(t) + r"}, "['r']"),
+            ({"kind": "area", "area": "2*pi*t*cos(theta)"}, "['theta']"),
+            ({"kind": "polar2d", "rho": "t + r*theta"}, "['t']"),
+        ],
+        ids=["omega", "area", "rho"],
+    )
+    def test_stray_variable_in_a_model_expression(self, tmp_path, capsys, config, stray):
+        code, err = self.run_config(tmp_path, capsys, config)
+        assert code == 1
+        assert err.startswith("error: expression ") and err.count("\n") == 1
+        assert f"uses unsupported variable(s) {stray}" in err
+
+    @pytest.mark.parametrize("source", ["--ref-warping", "reference_warping"])
+    def test_stray_variable_in_the_reference_warping(self, tmp_path, capsys, source):
+        config = {"kind": "builtin", "builtin": "euclidean"}
+        argv = []
+        if source == "--ref-warping":
+            argv = ["--ref-warping", "sinh(r)"]
+        else:
+            config["reference_warping"] = "sinh(r)"
+        code, err = self.run_config(tmp_path, capsys, config, *argv, command="compare")
+        assert (code, err) == (
+            1, "error: expression 'sinh(r)' uses unsupported variable(s) ['r']\n"
+        )
+
+    def test_polar2d_fixes_dimension_two(self, tmp_path, capsys):
+        config = {"kind": "polar2d", "rho": "r", "dimension": 3}
+        code, err = self.run_config(tmp_path, capsys, config)
+        assert (code, err) == (1, "error: polar2d metrics require dimension = 2\n")
+
+    def test_paper_example_builtin_fixes_dimension_two(self, capsys):
+        code = main(["bound", "--builtin", "paper-example", "--dimension", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: the paper-example builtin fixes dimension = 2\n"
+
+    @pytest.mark.parametrize("radius,expected", [(None, 3.0), ("2", 2.0)])
+    def test_paper_example_builtin_radius(self, tmp_path, radius, expected):
+        argv = ["bound", "--builtin", "paper-example", "--grid", "256", "--theta", "32"]
+        if radius is not None:
+            argv += ["--radius", radius]
+        model = self.model_of(tmp_path, *argv)
+        assert model["radius"] == expected
+        assert model["builtin"] == "paper-example" and model["name"] == "model"
+
+    def test_flags_override_the_file(self, tmp_path):
+        cfg = tmp_path / "h.json"
+        cfg.write_text(json.dumps(
+            {"name": "h", "kind": "builtin", "builtin": "hyperbolic",
+             "radius": 1.0, "dimension": 2, "kappa": -1.0}
+        ))
+        argv = ["--config", str(cfg), "--grid", "64"]
+        flags = ["--radius", "2", "--dimension", "3", "--kappa", "-2"]
+        model = self.model_of(tmp_path, "bound", *argv, *flags)
+        assert model == {
+            "name": "h", "dimension": 3, "radius": 2.0, "kind": "builtin", "omega": None,
+            "area": None, "rho": None, "builtin": "hyperbolic", "kappa": -2.0,
+            "reference_warping": None,
+        }
+        assert self.model_of(tmp_path, "bound", *argv) == {
+            **model, "dimension": 2, "radius": 1.0, "kappa": -1.0
+        }
+
+    def test_compare_kappa_names_the_reference(self, tmp_path):
+        argv = ["--builtin", "euclidean", "--grid", "256", "--kappa", "-1"]
+        assert self.model_of(tmp_path, "compare", *argv)["kappa"] is None
+        assert self.model_of(tmp_path, "bound", *argv)["kappa"] == -1.0
+
+
 class TestOutputsAndCodes:
     def test_json_is_deterministic_apart_from_timings(self, tmp_path):
         reports = []
@@ -505,6 +627,20 @@ class TestOutputsAndCodes:
             assert main([command, "--config", str(cfg)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("radius", ["1e-310", "1e-320"])
+    @pytest.mark.parametrize("command", ["bound", "oracle", "symmetrize", "compare"])
+    def test_subnormal_radius_is_named(self, command, radius, capsys):
+        # the innermost check point 1e-6 R is not a normal float: the checks
+        # used to blame the warping or the grid spacing, or symmetrize ran on
+        # rounded nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--builtin", "euclidean", "--radius", radius])
+        assert code == 5
+        assert capsys.readouterr().err == (
+            f"invalid input: radius {radius} is too small: 1e-6 R is not a normal float\n"
+        )
 
     @pytest.mark.parametrize("radius", ["400", "800"])
     @pytest.mark.parametrize("command", ["bound", "oracle", "symmetrize", "compare"])

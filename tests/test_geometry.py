@@ -27,7 +27,7 @@ from ballbound.errors import (
     InvalidModelError,
     PrecisionError,
 )
-from ballbound.geometry import _eval_on, _eval_on2, area_of
+from ballbound.geometry import _eval_on, area_of
 
 from conftest import bump_curvature_oracle, counting_metric, model_suite, wavy_cone_metric
 
@@ -37,14 +37,14 @@ class TestEvaluationContract:
     their exceptions propagate."""
 
     @pytest.mark.parametrize(
-        "helper,args",
+        "args",
         [
-            (_eval_on, (np.linspace(0.0, 1.0, 5),)),
-            (_eval_on2, (np.linspace(0.1, 1.0, 5)[:, None], np.zeros(3))),
+            (np.linspace(0.0, 1.0, 5),),
+            (np.linspace(0.1, 1.0, 5)[:, None], np.zeros(3)),
         ],
         ids=["eval_on", "eval_on2"],
     )
-    def test_raising_callable_is_called_once(self, helper, args):
+    def test_raising_callable_is_called_once(self, args):
         boom = ValueError("boom")
         calls = []
 
@@ -53,7 +53,7 @@ class TestEvaluationContract:
             raise boom
 
         with pytest.raises(ValueError) as exc:
-            helper(fail, *args)
+            _eval_on(fail, *args)
         assert exc.value is boom
         assert len(calls) == 1
 

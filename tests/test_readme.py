@@ -12,3 +12,12 @@ def test_python_blocks_run_in_order(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["norm"].final > 0.0
+
+
+def test_config_section_lists_every_field():
+    from ballbound.cli import ModelConfig
+
+    section = re.search(r"^### Config files\n(.*?)^##", README.read_text(), re.MULTILINE | re.DOTALL)
+    assert section is not None
+    missing = [name for name in ModelConfig.FIELDS if f"`{name}`" not in section.group(1)]
+    assert missing == []
