@@ -50,9 +50,6 @@ from .geometry import (
 from .moments import (
     EstimateSeries,
     compute_moments,
-    estimator_center_ratio,
-    estimator_mass_ratio,
-    estimator_norm_ratio,
     run_until_converged,
 )
 from .oracle import (
@@ -99,9 +96,6 @@ __all__ = [
     "eigen_2d_polar",
     "eigen_2d_refined",
     "equality_criterion",
-    "estimator_center_ratio",
-    "estimator_mass_ratio",
-    "estimator_norm_ratio",
     "euclidean_model",
     "evaluate",
     "format_expression",

@@ -25,7 +25,8 @@ An error raised inside a stage names it, e.g. ``invalid input: stage
 Exit codes: 0 success, 1 configuration error, 2 usage/expression syntax
 error, 3 bound not supported (estimators did not converge, or ``compare``
 found it below the reference), 4 solver failure (bracket, iteration),
-5 invalid model/metric/area input.
+5 invalid model/metric/area input.  Each error class in :mod:`ballbound.errors`
+carries its exit code and stderr label.
 """
 from __future__ import annotations
 
@@ -41,18 +42,7 @@ import time
 import numpy as np
 
 from .compare import BOUND_BELOW_REFERENCE, cheng_report, equality_criterion
-from .errors import (
-    BracketError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    EvaluationError,
-    ExpressionSyntaxError,
-    InvalidAreaError,
-    InvalidMetricError,
-    InvalidModelError,
-    PrecisionError,
-)
+from .errors import BallboundError, ConfigError, InvalidMetricError
 from .exprparse import evaluate, free_variables, parse
 from .geometry import (
     AreaFunction,
@@ -190,6 +180,8 @@ def _split_builtin(spec: str) -> tuple[str, float | None]:
             " (curvature in parentheses, e.g. hyperbolic(-1))"
         )
     kappa = float(m.group(2)) if m.group(2) is not None else None
+    if kappa is not None and m.group(1) not in ("spherical", "hyperbolic"):
+        raise ConfigError(f"builtin {m.group(1)!r} takes no curvature, got {spec!r}")
     if kappa is not None and not math.isfinite(kappa):
         raise ConfigError(f"builtin curvature must be finite, got {spec!r}")
     return m.group(1), kappa
@@ -260,18 +252,19 @@ class Stages(dict):
         self[name] = time.perf_counter() - start
 
 
-def _series_block(norm, center, mass) -> dict:
-    return {
-        "norm": list(norm.values),
-        "center": list(center.values),
-        "mass": list(mass.values),
-        "norm_k_start": norm.ks[0],
-        "center_k_start": center.ks[0],
-        "mass_k_start": mass.ks[0],
-        "finals": {"norm": norm.final, "center": center.final, "mass": mass.final},
-        "rates": {"norm": norm.rate, "center": center.rate, "mass": mass.rate},
-        "converged": norm.converged and center.converged and mass.converged,
+def _run_hierarchy(area: AreaFunction, grid: RadialGrid, args, report: dict) -> int:
+    """Fill the report's series and bound from the hierarchy; exit code 3 if it did not converge."""
+    norm, center, mass = run_until_converged(area, grid, args.tol, args.kmax)
+    series = {"norm": norm, "center": center, "mass": mass}
+    report["series"] = {
+        **{key: list(s.values) for key, s in series.items()},
+        **{f"{key}_k_start": s.ks[0] for key, s in series.items()},
+        "finals": {key: s.final for key, s in series.items()},
+        "rates": {key: s.rate for key, s in series.items()},
+        "converged": all(s.converged for s in series.values()),
     }
+    report["bound"] = norm.final
+    return 0 if report["series"]["converged"] else 3
 
 
 def cmd_bound(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
@@ -280,11 +273,9 @@ def cmd_bound(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
     with stage("symmetrize"):
         area = area_of(target, grid, args.theta)
     with stage("moments"):
-        norm, center, mass = run_until_converged(area, grid, args.tol, args.kmax)
-    report["series"] = _series_block(norm, center, mass)
-    report["bound"] = norm.final
+        code = _run_hierarchy(area, grid, args, report)
     report["tolerances"] = {"estimator_relative_cauchy": args.tol}
-    return 0 if report["series"]["converged"] else 3
+    return code
 
 
 def _oracle_2d(metric: PolarMetric2D, args) -> dict:
@@ -383,9 +374,7 @@ def cmd_paper_example(args, cfg: ModelConfig, report: dict, stage: Stages) -> in
             )
 
     with stage("bound"):
-        norm, center, mass = run_until_converged(area, grid, args.tol, args.kmax)
-        report["series"] = _series_block(norm, center, mass)
-        report["bound"] = norm.final
+        code = _run_hierarchy(area, grid, args, report)
 
     with stage("oracle-2d"):
         oracle = report["oracle"] = _oracle_2d(metric, args)
@@ -410,7 +399,7 @@ def cmd_paper_example(args, cfg: ModelConfig, report: dict, stage: Stages) -> in
         "oracle_richardson": report["oracle"]["richardson"],
         "area_check_absolute": 1e-10,
     }
-    return 0 if report["series"]["converged"] else 3
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +464,10 @@ def _parse_mesh(spec: str) -> tuple[int, int]:
 
 
 def _load_config(args) -> ModelConfig:
+    fixed = ("config", "builtin", "dimension", "kappa")
+    given = [key for key in fixed if getattr(args, key) is not None]
+    if args.command == "paper-example" and given:
+        raise ConfigError(f"paper-example fixes its model; it takes no --{', --'.join(given)}")
     data: dict = {}
     if args.config:
         try:
@@ -513,19 +506,14 @@ def _load_config(args) -> ModelConfig:
 
 def _series_csv(report: dict) -> str:
     series = report["series"]
+    columns = [(series[key], series[f"{key}_k_start"]) for key in ("norm", "center", "mass")]
     lines = ["k,norm_ratio,center_ratio,mass_ratio"]
-    norm = series["norm"]
-    center = series["center"]
-    mass = series["mass"]
-    n0 = series["norm_k_start"]
-    c0 = series["center_k_start"]
-    top = max(n0 + len(norm) - 1, c0 + len(center) - 1)
-    for k in range(0, top + 1):
-        cells = [str(k)]
-        cells.append(repr(norm[k - n0]) if 0 <= k - n0 < len(norm) else "")
-        cells.append(repr(center[k - c0]) if 0 <= k - c0 < len(center) else "")
-        cells.append(repr(mass[k - c0]) if 0 <= k - c0 < len(mass) else "")
-        lines.append(",".join(cells))
+    for k in range(max(start + len(values) for values, start in columns)):
+        cells = [
+            repr(values[k - start]) if 0 <= k - start < len(values) else ""
+            for values, start in columns
+        ]
+        lines.append(",".join([str(k), *cells]))
     return "\n".join(lines) + "\n"
 
 
@@ -586,24 +574,9 @@ def main(argv=None) -> int:
             "tolerances": {},
         }
         code = args.handler(args, cfg, report, stage)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ExpressionSyntaxError, EvaluationError) as exc:
-        print(f"expression error: {exc}", file=sys.stderr)
-        return 2
-    except (BracketError, ConvergenceError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 4
-    except (
-        DomainError,
-        InvalidAreaError,
-        InvalidMetricError,
-        InvalidModelError,
-        PrecisionError,
-    ) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 5
+    except BallboundError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     report["timings"] = {**stage, "total": sum(stage.values())}
     text = render_report(report, args.fmt)

@@ -2,31 +2,49 @@
 
 
 class BallboundError(Exception):
-    """Base class for every package-specific error."""
+    """Base class for every package-specific error.
+
+    ``exit_code`` and ``label`` are the command line's exit status and stderr
+    prefix for the error; subclasses override them by category.
+    """
+
+    exit_code, label = 1, "error"
 
 
 class DomainError(BallboundError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
+    exit_code, label = 5, "invalid input"
+
 
 class InvalidAreaError(BallboundError, ValueError):
     """An area function violates A(0) = 0 or positivity on (0, R]."""
+
+    exit_code, label = 5, "invalid input"
 
 
 class InvalidMetricError(BallboundError, ValueError):
     """A polar metric density is non-positive, non-periodic, or otherwise unusable."""
 
+    exit_code, label = 5, "invalid input"
+
 
 class InvalidModelError(BallboundError, ValueError):
     """A rotationally symmetric model has a degenerate warping function."""
+
+    exit_code, label = 5, "invalid input"
 
 
 class BracketError(BallboundError, RuntimeError):
     """Within its sweep cap, shooting found no lambda whose f has exactly one zero in (0, R]."""
 
+    exit_code, label = 4, "solver error"
+
 
 class ConvergenceError(BallboundError, RuntimeError):
     """An iterative solver stagnated before reaching its tolerance."""
+
+    exit_code, label = 4, "solver error"
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -36,9 +54,13 @@ class ConvergenceError(BallboundError, RuntimeError):
 class PrecisionError(BallboundError, ArithmeticError):
     """A quantity underflowed or lost all significant digits."""
 
+    exit_code, label = 5, "invalid input"
+
 
 class ExpressionError(BallboundError):
     """Base class for expression parsing/evaluation failures."""
+
+    exit_code, label = 2, "expression error"
 
 
 class ExpressionSyntaxError(ExpressionError, ValueError):

@@ -31,20 +31,53 @@ from .errors import EvaluationError, ExpressionSyntaxError
 
 VARIABLES = frozenset({"t", "r", "theta", "R", "kappa"})
 CONSTANTS = {"pi": math.pi, "e": math.e}
+
+
+def _fail(node: Expression, why: str):
+    raise EvaluationError(f"{why} in '{format_expression(node)}'")
+
+
+def _power(node: Expression, base, expo):
+    if np.any((base == 0.0) & (np.asarray(expo) < 0.0)):
+        _fail(node, "zero raised to a negative power")
+    neg = np.asarray(base) < 0.0
+    if np.any(neg & (np.asarray(expo) != np.floor(expo))):
+        _fail(node, "negative base with non-integer exponent")
+    return np.power(base, expo)
+
+
+def _log(node: Expression, x):
+    if np.any(np.asarray(x) <= 0.0):
+        _fail(node, "log of a non-positive number")
+    return np.log(x)
+
+
+def _sqrt(node: Expression, x):
+    if np.any(np.asarray(x) < 0.0):
+        _fail(node, "square root of a negative number")
+    return np.sqrt(x)
+
+
+def _unchecked(fn):
+    return lambda node, *args: fn(*args)
+
+
+# name -> (arity, implementation); an implementation takes the call node, for
+# its error messages, and the evaluated arguments
 FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "tan": 1,
-    "sinh": 1,
-    "cosh": 1,
-    "tanh": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "pow": 2,
-    "min": 2,
-    "max": 2,
+    "sin": (1, _unchecked(np.sin)),
+    "cos": (1, _unchecked(np.cos)),
+    "tan": (1, _unchecked(np.tan)),
+    "sinh": (1, _unchecked(np.sinh)),
+    "cosh": (1, _unchecked(np.cosh)),
+    "tanh": (1, _unchecked(np.tanh)),
+    "exp": (1, _unchecked(np.exp)),
+    "log": (1, _log),
+    "sqrt": (1, _sqrt),
+    "abs": (1, _unchecked(np.abs)),
+    "pow": (2, _power),
+    "min": (2, _unchecked(np.minimum)),
+    "max": (2, _unchecked(np.maximum)),
 }
 
 _ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
@@ -210,9 +243,10 @@ class _Parser:
                     self.advance()
                     args.append(self.expr())
                 self.expect(")")
-                if len(args) != FUNCTIONS[name]:
+                arity = FUNCTIONS[name][0]
+                if len(args) != arity:
                     raise ExpressionSyntaxError(
-                        f"{name} takes {FUNCTIONS[name]} argument(s), got {len(args)}",
+                        f"{name} takes {arity} argument(s), got {len(args)}",
                         tok.pos,
                     )
                 return Call(name, tuple(args))
@@ -320,34 +354,9 @@ def free_variables(node: Expression) -> set[str]:
     """Names of the variables the expression reads."""
     if isinstance(node, Var):
         return {node.name}
-    if isinstance(node, Neg):
-        return free_variables(node.operand)
-    if isinstance(node, (BinOp, Comparison)):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, Call):
-        out: set[str] = set()
-        for arg in node.args:
-            out |= free_variables(arg)
-        return out
-    if isinstance(node, Piecewise):
-        out = free_variables(node.default)
-        for cond, value in node.branches:
-            out |= free_variables(cond) | free_variables(value)
-        return out
-    return set()
-
-
-def _fail(node: Expression, why: str):
-    raise EvaluationError(f"{why} in '{format_expression(node)}'")
-
-
-def _power(node: BinOp, base, expo):
-    if np.any((base == 0.0) & (np.asarray(expo) < 0.0)):
-        _fail(node, "zero raised to a negative power")
-    neg = np.asarray(base) < 0.0
-    if np.any(neg & (np.asarray(expo) != np.floor(expo))):
-        _fail(node, "negative base with non-integer exponent")
-    return np.power(base, expo)
+    if isinstance(node, tuple):  # any other node, a tuple of nodes or a (guard, value) pair
+        return set().union(*map(free_variables, node))
+    return set()  # a number, a name or an operator
 
 
 def _eval(node: Expression, env: dict):
@@ -368,23 +377,7 @@ def _eval(node: Expression, env: dict):
             _fail(node, "division by zero")
         return _ARITHMETIC[node.op][1](left, right)
     if isinstance(node, Call):
-        args = [_eval(a, env) for a in node.args]
-        name = node.name
-        if name == "log":
-            if np.any(np.asarray(args[0]) <= 0.0):
-                _fail(node, "log of a non-positive number")
-            return np.log(args[0])
-        if name == "sqrt":
-            if np.any(np.asarray(args[0]) < 0.0):
-                _fail(node, "square root of a negative number")
-            return np.sqrt(args[0])
-        if name == "pow":
-            return _power(node, args[0], args[1])
-        if name == "min":
-            return np.minimum(args[0], args[1])
-        if name == "max":
-            return np.maximum(args[0], args[1])
-        return getattr(np, name)(args[0])
+        return FUNCTIONS[node.name][1](node, *(_eval(a, env) for a in node.args))
     if isinstance(node, Comparison):
         return _COMPARISONS[node.op](_eval(node.left, env), _eval(node.right, env))
     if isinstance(node, Piecewise):

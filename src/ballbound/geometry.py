@@ -28,6 +28,8 @@ from .quadrature import _pchip, composite_weights
 
 # Relative radii used to spot-check positivity/limit invariants at build time.
 _CHECK_FRACTIONS = np.array([1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0])
+# First Dirichlet eigenvalue of the unit disc (square of the first J0 zero).
+_UNIT_DISC_LAMBDA = 5.783185962946785
 
 
 def unit_sphere_volume(n: int) -> float:
@@ -54,6 +56,17 @@ def _check_radius(radius: float) -> None:
         raise DomainError("radius must be positive")
     if radius * 1e-6 < sys.float_info.min:
         raise PrecisionError(f"radius {radius!r} is too small: 1e-6 R is not a normal float")
+
+
+def _eigenvalue_scale(dimension: int, radius: float) -> float:
+    """The Euclidean scale 4 n j0^2 / R^2 of lambda1, which starts the shooting
+    bracket; a ball where it is not a normal float raises :class:`PrecisionError`."""
+    scale = 4.0 * dimension * _UNIT_DISC_LAMBDA / radius / radius
+    if not sys.float_info.min <= scale < math.inf:
+        raise PrecisionError(
+            f"eigenvalue scale {scale:g} at radius {radius:g} is outside the normal float range"
+        )
+    return scale
 
 
 class RadialGrid:
@@ -164,14 +177,14 @@ class AreaFunction:
                     f"A(t) underflows to 0 at t = {t_probe[0]:g} in dimension {self.dimension}"
                 )
             raise InvalidAreaError("A must be positive on (0, R]")
-        if self.samples is not None:
-            t1 = float(self.samples[0][1])
-        else:
-            t1 = self.radius * 1e-4
-        ratio = float(_eval_on(self.eval, t1)) / (
-            unit_sphere_volume(self.dimension) * t1 ** (self.dimension - 1)
-        )
-        if abs(ratio - 1.0) > 0.05:
+        t1 = float(self.samples[0][1]) if self.samples is not None else self.radius * 1e-4
+        # in high dimensions t1^(n-1) can overflow or underflow: the ratio is then 0 or inf
+        with np.errstate(all="ignore"):
+            ratio = float(
+                _eval_on(self.eval, t1)
+                / (unit_sphere_volume(self.dimension) * np.float64(t1) ** (self.dimension - 1))
+            )
+        if not abs(ratio - 1.0) <= 0.05:
             msg = (
                 f"A(t)/t^(n-1) -> {ratio:.6g} x vol(S^(n-1)) near 0, expected the"
                 " unit-sphere volume (metric smooth at the center)"

@@ -12,9 +12,10 @@ Dirichlet eigenvalue of the symmetrized ball as their common limit:
 * center ratio  T_{k-1}(0) / T_k(0)
 * mass ratio    int T_{k-1} A / int T_k A
 
-Because T_k(0) decays like lambda^-k, every stored level is renormalized to
-unit center value and the factor is tracked in log scale; the estimators
-reinstate it exactly in exponent arithmetic.
+Because T_k(0) decays like lambda^-k, every level is renormalized to unit
+center value.  The ratios use each level's own factor T_k(0) / T_{k-1}(0),
+which cannot underflow; :func:`compute_moments` accumulates the factors in
+log scale, from which T_k itself is rebuilt.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InvalidAreaError, PrecisionError
-from .geometry import AreaFunction, RadialGrid, _eval_on
+from .geometry import AreaFunction, RadialGrid, _eigenvalue_scale, _eval_on
 from .quadrature import cumulative_integral
 
 NORM_RATIO = "norm-ratio"
@@ -91,6 +92,7 @@ def _hierarchy(area: AreaFunction, grid: RadialGrid):
     norm2 = float(w @ (level**2 * a))
     if not math.isfinite(mass + norm2):
         raise PrecisionError(f"the area integral overflows at radius {grid.radius:g}")
+    _eigenvalue_scale(area.dimension, grid.radius)  # names a radius whose lambda1 is no float
     while True:
         yield level, center, mass, norm2
         inner = cumulative_integral(level * a, dx)
@@ -120,46 +122,15 @@ def compute_moments(area: AreaFunction, grid: RadialGrid, levels: int) -> Moment
     return MomentTable(np.array(table), log_scale, np.array(mass), np.array(norm2))
 
 
-def estimator_norm_ratio(table: MomentTable, k: int) -> float:
-    """(int T_k^2 A / int T_{k+1}^2 A)^(1/2) with rescale factors reinstated."""
-    if not 0 <= k <= len(table.levels) - 2:
-        raise DomainError(f"norm ratio needs levels k and k+1, got k = {k}")
-    scale = math.exp(table.log_scale[k] - table.log_scale[k + 1])
-    return scale * math.sqrt(table.norm2[k] / table.norm2[k + 1])
-
-
-def estimator_center_ratio(table: MomentTable, k: int) -> float:
-    """T_{k-1}(0) / T_k(0), exact in exponent arithmetic."""
-    top = len(table.levels) - 1
-    if not 1 <= k <= top:
-        raise DomainError(f"center ratio needs 1 <= k <= {top}, got {k}")
-    return math.exp(table.log_scale[k - 1] - table.log_scale[k])
-
-
-def estimator_mass_ratio(table: MomentTable, k: int) -> float:
-    """int T_{k-1} A / int T_k A with rescale factors reinstated."""
-    top = len(table.levels) - 1
-    if not 1 <= k <= top:
-        raise DomainError(f"mass ratio needs 1 <= k <= {top}, got {k}")
-    scale = math.exp(table.log_scale[k - 1] - table.log_scale[k])
-    return scale * table.mass[k - 1] / table.mass[k]
-
-
-def _series(kind: str, ks: list[int], values: list[float], converged: bool) -> EstimateSeries:
+def _series(kind: str, k_start: int, values: list[float], converged: bool) -> EstimateSeries:
     rate = None
     if len(values) >= 3:
         d1 = abs(values[-1] - values[-2])
         d0 = abs(values[-2] - values[-3])
         if d0 > 0.0:
             rate = d1 / d0
-    return EstimateSeries(
-        kind=kind,
-        ks=tuple(ks),
-        values=tuple(values),
-        converged=converged,
-        final=values[-1],
-        rate=rate,
-    )
+    ks = tuple(range(k_start, k_start + len(values)))
+    return EstimateSeries(kind, ks, tuple(values), converged, values[-1], rate)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -171,7 +142,8 @@ def run_until_converged(
 ) -> tuple[EstimateSeries, EstimateSeries, EstimateSeries]:
     """Deepen the hierarchy until all three estimators are Cauchy at ``tol``.
 
-    Returns (norm, center, mass) series.  Stopping uses the relative
+    Returns (norm, center, mass) series, formed here and nowhere else
+    from each level's integrals and center factor.  Stopping uses the relative
     criterion |E(k) - E(k-1)| <= tol * E(k) on all three simultaneously; if
     ``k_max`` levels are exhausted first the series come back flagged
     unconverged rather than raising; overflow raises :class:`PrecisionError`.
@@ -191,18 +163,15 @@ def run_until_converged(
         centers.append(1.0 / center)
         masses.append(mass_prev / mass_cur / center)
         norms.append(math.sqrt(sq_prev / sq_cur) / center)
-        if len(centers) >= 2:
-            cauchy = all(
-                abs(s[-1] - s[-2]) <= tol * s[-1] for s in (norms, centers, masses)
-            )
-            if cauchy:
-                converged = True
-                break
+        if len(centers) >= 2 and all(
+            abs(s[-1] - s[-2]) <= tol * s[-1] for s in (norms, centers, masses)
+        ):
+            converged = True
+            break
         mass_prev, sq_prev = mass_cur, sq_cur
 
-    top = len(centers)
     return (
-        _series(NORM_RATIO, list(range(0, top)), norms, converged),
-        _series(CENTER_RATIO, list(range(1, top + 1)), centers, converged),
-        _series(MASS_RATIO, list(range(1, top + 1)), masses, converged),
+        _series(NORM_RATIO, 0, norms, converged),
+        _series(CENTER_RATIO, 1, centers, converged),
+        _series(MASS_RATIO, 1, masses, converged),
     )

@@ -31,15 +31,13 @@ from .geometry import (
     PolarMetric2D,
     RadialGrid,
     RiemannianModel,
+    _eigenvalue_scale,
     _eval_on,
     _require_finite,
     unit_sphere_volume,
 )
 from .quadrature import richardson_estimate, richardson_extrapolate
 
-# First Dirichlet eigenvalue of the unit disc (square of the first J0 zero);
-# only used to scale the default shooting bracket.
-_UNIT_DISC_LAMBDA = 5.783185962946785
 _MAX_BRACKET_SWEEPS = 64
 # LOBPCG cap of the 2-D solver; 99% angular density variation at 256^2 takes under 60.
 _MAX_LOBPCG_ITERATIONS = 500
@@ -150,11 +148,7 @@ def shoot_radial_lambda1(
     a_nodes, a_mid = _model_area_arrays(model, grid.nodes, h)
     n = model.dimension
 
-    b = 4.0 * n * _UNIT_DISC_LAMBDA / model.radius / model.radius
-    if not sys.float_info.min <= b < math.inf:
-        raise PrecisionError(
-            f"eigenvalue scale {b:g} at radius {model.radius:g} is outside the normal float range"
-        )
+    b = _eigenvalue_scale(n, model.radius)
     a, fa, above = 0.0, 1.0, math.inf  # f = 1 on the whole ball at lambda = 0
     for iterations in range(1, _MAX_BRACKET_SWEEPS + 1):
         fb, changes, _ = _sweep(b, n, h, a_nodes, a_mid)

@@ -20,7 +20,6 @@ from ballbound import (
     cheng_report,
     compute_moments,
     equality_criterion,
-    estimator_center_ratio,
     euclidean_model,
     format_expression,
     monotonicity_check,
@@ -190,7 +189,7 @@ def test_criterion_8_symbolic_moment_oracle():
     level1 = math.exp(table.log_scale[1]) * table.levels[1]
     worst1 = float(np.max(np.abs(level1 - (1.0 - t**2) / 4.0)))
     center0 = math.exp(table.log_scale[2])
-    ratio2 = estimator_center_ratio(table, 2)
+    ratio2 = run_until_converged(area, grid, 1e-14, 2)[1].values[1]
     checks = [
         (worst1 <= 1e-8, f"T_1 max error {worst1:.2e} <= 1e-8"),
         (abs(center0 - 3.0 / 64.0) <= 1e-8, f"T_2(0) = {center0} vs 3/64"),

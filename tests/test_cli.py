@@ -6,6 +6,7 @@ import warnings
 import jsonschema
 import pytest
 
+from ballbound import cli, errors
 from ballbound.cli import REPORT_SCHEMA, main
 from ballbound.exprparse import evaluate
 
@@ -495,6 +496,36 @@ class TestConfigContract:
             **model, "dimension": 2, "radius": 1.0, "kappa": -1.0
         }
 
+    @pytest.mark.parametrize(
+        "argv,given",
+        [
+            (["--dimension", "3"], "--dimension"),
+            (["--kappa", "0"], "--kappa"),
+            (["--builtin", "euclidean"], "--builtin"),
+            (["--config", "{config}"], "--config"),
+            (["--dimension", "3", "--kappa", "5", "--builtin", "euclidean"],
+             "--builtin, --dimension, --kappa"),
+        ],
+        ids=["dimension", "kappa", "builtin", "config", "all-three"],
+    )
+    def test_paper_example_takes_no_model_inputs(self, tmp_path, capsys, argv, given):
+        # these used to be dropped without a word: the 2-D model ran as if absent
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "builtin", "builtin": "euclidean"}))
+        argv = [str(cfg) if a == "{config}" else a for a in argv]
+        code = main(["paper-example", *argv, "--mesh", "8x8"])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: paper-example fixes its model; it takes no {given}\n"
+        )
+
+    @pytest.mark.parametrize("spec", ["euclidean(2)", "paper-example(5)", "euclidean(0)"])
+    def test_curvature_only_on_space_form_builtins(self, capsys, spec):
+        code = main(["bound", "--builtin", spec, "--grid", "64"])
+        name = spec.partition("(")[0]
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: builtin {name!r} takes no curvature, got {spec!r}\n"
+        )
+
     def test_compare_kappa_names_the_reference(self, tmp_path):
         argv = ["--builtin", "euclidean", "--grid", "256", "--kappa", "-1"]
         assert self.model_of(tmp_path, "compare", *argv)["kappa"] is None
@@ -641,6 +672,73 @@ class TestOutputsAndCodes:
         assert capsys.readouterr().err == (
             f"invalid input: radius {radius} is too small: 1e-6 R is not a normal float\n"
         )
+
+    @pytest.mark.parametrize("radius", ["1e-154", "1e-200", "1e-300"])
+    @pytest.mark.parametrize(
+        "command,stage", [("bound", "moments"), ("oracle", "oracle"), ("compare", "compare")]
+    )
+    def test_tiny_radius_names_the_eigenvalue_scale(self, command, stage, radius, capsys):
+        # the hierarchy used to report a degenerate level (center value 0.0),
+        # or at 1e-154 an infinite bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--builtin", "euclidean", "--radius", radius, "--grid", "64"])
+        assert (code, capsys.readouterr().err) == (
+            5,
+            f"invalid input: stage '{stage}' failed: eigenvalue scale inf at radius {radius}"
+            " is outside the normal float range\n",
+        )
+
+    def test_huge_radius_still_names_the_area_integral(self, capsys):
+        code = main(["bound", "--builtin", "euclidean", "--radius", "1e160", "--grid", "64"])
+        assert (code, capsys.readouterr().err) == (
+            5, "invalid input: stage 'moments' failed: the area integral overflows at radius 1e+160\n"
+        )
+
+    @pytest.mark.parametrize(
+        "dimension,radius,limit", [(74, 1.0, "inf"), (80, 1.0, "inf"), (100, 1.0, "inf"),
+                                   (80, 1e10, "0")]
+    )
+    @pytest.mark.parametrize("command", ["bound", "oracle", "symmetrize", "compare"])
+    def test_high_dimension_area_breaks_the_centre_law(
+        self, tmp_path, capsys, command, dimension, radius, limit
+    ):
+        # t^(n-1) at t = 1e-4 R underflows to 0 from n = 76 (a ZeroDivisionError)
+        # and overflows at R = 1e10 (an OverflowError)
+        cfg = tmp_path / "a.json"
+        cfg.write_text(json.dumps(
+            {"kind": "area", "area": "2*pi*t", "dimension": dimension, "radius": radius}
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith(f"invalid input: A(t)/t^(n-1) -> {limit} x vol(S^(n-1)) near 0")
+
+    @pytest.mark.parametrize(
+        "error,code,label",
+        [
+            (errors.BallboundError, 1, "error"),
+            (errors.ConfigError, 1, "error"),
+            (errors.ExpressionSyntaxError, 2, "expression error"),
+            (errors.EvaluationError, 2, "expression error"),
+            (errors.BracketError, 4, "solver error"),
+            (errors.ConvergenceError, 4, "solver error"),
+            (errors.DomainError, 5, "invalid input"),
+            (errors.InvalidAreaError, 5, "invalid input"),
+            (errors.InvalidMetricError, 5, "invalid input"),
+            (errors.InvalidModelError, 5, "invalid input"),
+            (errors.PrecisionError, 5, "invalid input"),
+        ],
+    )
+    def test_each_error_class_has_its_exit_code(self, monkeypatch, capsys, error, code, label):
+        def fail(args):
+            raise error(*(("boom", 3) if error is errors.ExpressionSyntaxError else ("boom",)))
+
+        monkeypatch.setattr(cli, "_load_config", fail)
+        assert main(["bound", "--builtin", "euclidean"]) == code
+        assert capsys.readouterr().err.startswith(f"{label}: boom")
 
     @pytest.mark.parametrize("radius", ["400", "800"])
     @pytest.mark.parametrize("command", ["bound", "oracle", "symmetrize", "compare"])

@@ -6,7 +6,7 @@ import pytest
 
 from ballbound import evaluate, format_expression, free_variables, parse
 from ballbound.errors import EvaluationError, ExpressionSyntaxError
-from ballbound.exprparse import BinOp, Call, Neg, Num, Piecewise, Var
+from ballbound.exprparse import FUNCTIONS, BinOp, Call, Neg, Num, Piecewise, Var
 
 from conftest import random_expression
 
@@ -36,6 +36,26 @@ class TestBasicEvaluation:
     def test_free_variables(self):
         tree = parse("piecewise(t <= R: kappa; r + theta)")
         assert free_variables(tree) == {"t", "R", "kappa", "r", "theta"}
+
+    def test_free_variables_of_every_node_type(self):
+        assert free_variables(parse("-sin(t) + pow(r, kappa)^2 / R")) == {"t", "r", "kappa", "R"}
+        assert free_variables(parse("piecewise(1 < 2: pi; e)")) == set()
+        assert free_variables(parse("2.5")) == set()
+
+    def test_every_function_matches_numpy(self):
+        reference = {
+            "sin": np.sin, "cos": np.cos, "tan": np.tan, "sinh": np.sinh, "cosh": np.cosh,
+            "tanh": np.tanh, "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
+            "pow": np.power, "min": np.minimum, "max": np.maximum,
+        }
+        assert set(FUNCTIONS) == set(reference)
+        t = np.linspace(0.5, 2.0, 7)
+        for name, fn in reference.items():
+            arity = FUNCTIONS[name][0]
+            source = f"{name}({', '.join(['t', '1.5'][:arity])})"
+            expected = fn(t, 1.5) if arity == 2 else fn(t)
+            assert np.array_equal(evaluate(parse(source), {"t": t}), expected), name
+            assert evaluate(parse(source), {"t": 0.75}) == float(fn(*[0.75, 1.5][:arity]))
 
 
 PRECEDENCE_CASES = [

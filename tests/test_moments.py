@@ -9,9 +9,6 @@ from ballbound import (
     RiemannianModel,
     area_from_warping,
     compute_moments,
-    estimator_center_ratio,
-    estimator_mass_ratio,
-    estimator_norm_ratio,
     euclidean_model,
     run_until_converged,
     shoot_radial_lambda1,
@@ -52,14 +49,17 @@ class TestSymbolicLevels:
         assert np.max(np.abs(level - (3.0 - 4.0 * t**2 + t**4) / 64.0)) < 1e-8
 
     def test_center_ratios(self, unit_grid):
-        table = compute_moments(disc_area(), unit_grid, 2)
-        assert estimator_center_ratio(table, 1) == pytest.approx(4.0, abs=1e-8)
-        assert estimator_center_ratio(table, 2) == pytest.approx(16.0 / 3.0, abs=1e-8)
+        # T_0(0) / T_1(0) = 1 / (1/4) and T_1(0) / T_2(0) = (1/4) / (3/64)
+        _, center, _ = run_until_converged(disc_area(), unit_grid, 1e-14, 2)
+        assert center.ks == (1, 2)
+        assert center.values[0] == pytest.approx(4.0, abs=1e-8)
+        assert center.values[1] == pytest.approx(16.0 / 3.0, abs=1e-8)
 
     def test_mass_ratio_first_level(self, unit_grid):
         # int 2 pi t dt / int 2 pi t (1-t^2)/4 dt = pi / (pi/8) = 8
-        table = compute_moments(disc_area(), unit_grid, 1)
-        assert estimator_mass_ratio(table, 1) == pytest.approx(8.0, abs=1e-8)
+        _, _, mass = run_until_converged(disc_area(), unit_grid, 1e-14, 2)
+        assert mass.ks[0] == 1
+        assert mass.values[0] == pytest.approx(8.0, abs=1e-8)
 
 
 class TestLevelShape:
@@ -107,21 +107,6 @@ class TestConvergedEstimates:
         norm, center, mass = run_until_converged(area_from_warping(model), grid, 1e-9, 200)
         oracle = shoot_radial_lambda1(model, grid, 1e-10)
         assert abs(norm.final - oracle.lambda1) <= 1e-3 * oracle.lambda1
-
-    def test_norm_ratio_series_matches_single_queries(self, unit_grid):
-        area = disc_area()
-        norm, center, mass = run_until_converged(area, unit_grid, 1e-8, 40)
-        table = compute_moments(area, unit_grid, center.ks[-1])
-        k_probe = 3
-        assert norm.values[norm.ks.index(k_probe)] == pytest.approx(
-            estimator_norm_ratio(table, k_probe), rel=1e-12
-        )
-        assert center.values[center.ks.index(k_probe)] == pytest.approx(
-            estimator_center_ratio(table, k_probe), rel=1e-12
-        )
-        assert mass.values[mass.ks.index(k_probe)] == pytest.approx(
-            estimator_mass_ratio(table, k_probe), rel=1e-12
-        )
 
 
 class TestScaling:
@@ -206,17 +191,6 @@ class TestStoppingAndErrors:
         bad = AreaFunction(dimension=2, radius=1.0, eval=dented)
         with pytest.raises(InvalidAreaError):
             compute_moments(bad, unit_grid, 1)
-
-    def test_estimator_range_checks(self, unit_grid):
-        table = compute_moments(disc_area(), unit_grid, 2)
-        with pytest.raises(DomainError):
-            estimator_center_ratio(table, 0)
-        with pytest.raises(DomainError):
-            estimator_center_ratio(table, 3)
-        with pytest.raises(DomainError):
-            estimator_norm_ratio(table, 2)
-        with pytest.raises(DomainError):
-            estimator_mass_ratio(table, 5)
 
     def test_bad_arguments(self, unit_grid):
         with pytest.raises(DomainError):

@@ -47,7 +47,7 @@ def configs(draw):
     else:
         cfg[FIELDS[kind]] = draw(st.sampled_from(EXPRESSIONS[FIELDS[kind]]))
     if kind != "polar2d" and cfg.get("builtin") != "paper-example":
-        cfg["dimension"] = draw(st.sampled_from([2, 3]))
+        cfg["dimension"] = draw(st.sampled_from([2, 3, 8, 24, 60, 100]))
     if draw(st.booleans()):
         cfg["kappa"] = draw(curvatures)
     return cfg

@@ -1,17 +1,18 @@
-"""Check that two checkouts give the same reports on every benchmark op.
+"""Check that two checkouts give the same reports on every benchmark op and error path.
 
     python3 tools/same_reports.py PARENT CHANGE [SEED ...]
 
 PARENT and CHANGE are checkout roots, each with a ``src/ballbound``.  For
 each seed (default 1 2 3), every op and probe of the workloads in this
-checkout's ``perfbench/ops.py`` runs once per tree, as a fresh
-``python -m ballbound.cli`` process with that tree's ``src`` as PYTHONPATH
-and ``PYTHONDONTWRITEBYTECODE=1``.  A run differs when its exit code, its
-report without ``timings``, or its stderr differs.  Before stderr is
-compared, a warning's location ``<path>/ballbound/<module>.py:<line>`` and
-the source line printed under it are normalized, so code that moved is not a
-difference.  Each differing run is printed; the exit code is 1 if any run
-differs and 0 otherwise.
+checkout's ``perfbench/ops.py`` runs once per tree; then each command of
+``ERROR_PATHS``, all of which end in an error, runs once per tree.  Every
+run is a fresh ``python -m ballbound.cli`` process with that tree's ``src``
+as PYTHONPATH and ``PYTHONDONTWRITEBYTECODE=1``.  A run differs when its
+exit code, its report without ``timings``, or its stderr differs.  Before
+stderr is compared, a warning's location ``<path>/ballbound/<module>.py:<line>``
+and the source line printed under it are normalized, so code that moved is
+not a difference.  Each differing run is printed; the exit code is 1 if any
+run differs and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -34,6 +35,28 @@ SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 # "<path>/ballbound/<module>.py:<line>: <Category>: <message>", then the
 # indented source line that the warnings module prints when it can read it
 WARNING_AT = re.compile(r"^\S*/ballbound/(\w+)\.py:\d+:(.*)(\n  .*)?$", re.MULTILINE)
+
+
+# (label, CLI arguments, config written to "{config}" or None): commands that
+# end in an error, whose exit code and stderr the benchmark ops never show
+ERROR_PATHS = [
+    ("subnormal radius", ["bound", "--builtin", "euclidean", "--radius", "1e-320"], None),
+    ("oracle dimension 90", ["oracle", "--builtin", "euclidean", "--dimension", "90"], None),
+    ("bound dimension 60", ["bound", "--builtin", "euclidean", "--dimension", "60"], None),
+    ("hyperbolic radius 400",
+     ["bound", "--builtin", "hyperbolic", "--dimension", "3", "--radius", "400"], None),
+    ("coarse paper mesh", ["paper-example", "--mesh", "8x8"], None),
+    ("expression syntax",
+     ["compare", "--builtin", "euclidean", "--ref-warping", "sinh(t"], None),
+    ("area dimension 80", ["bound", "--config", "{config}"],
+     {"kind": "area", "area": "2*pi*t", "dimension": 80}),
+    ("bound radius 1e-200", ["bound", "--builtin", "euclidean", "--radius", "1e-200"], None),
+    ("compare radius 1e-200",
+     ["compare", "--builtin", "euclidean", "--radius", "1e-200"], None),
+    ("paper-example model flags",
+     ["paper-example", "--dimension", "3", "--kappa", "5", "--builtin", "euclidean"], None),
+    ("builtin curvature", ["bound", "--builtin", "euclidean(2)"], None),
+]
 
 
 def normalize_stderr(text: str) -> str:
@@ -88,24 +111,28 @@ def main(argv=None) -> int:
         if not (tree / "src" / "ballbound").is_dir():
             parser.error(f"{tree} has no src/ballbound")
 
-    runs = differing = 0
+    runs = [
+        (f"seed {seed} {name} [{op.label}]", op.args, op.config)
+        for seed in args.seeds
+        for name, make in WORKLOADS.items()
+        for workload in [make(seed)]
+        for op in [*workload.round, *(probe.op for probe in workload.probes)]
+    ]
+    runs += [(f"error path [{label}]", argv, config) for label, argv, config in ERROR_PATHS]
+    differing = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        config = work / "config.json"
-        for seed in args.seeds:
-            for name, make in WORKLOADS.items():
-                workload = make(seed)
-                for op in [*workload.round, *(probe.op for probe in workload.probes)]:
-                    if op.config is not None:
-                        config.write_text(json.dumps(op.config))
-                    cli = [str(config) if a == "{config}" else a for a in op.args]
-                    parent, change = (run_op(tree, cli, work) for tree in trees)
-                    runs += 1
-                    lines = describe(parent, change)
-                    if lines:
-                        differing += 1
-                        print(f"seed {seed} {name} [{op.label}]: " + "; ".join(lines), flush=True)
-    print(f"{runs - differing} of {runs} runs identical")
+        path = work / "config.json"
+        for label, argv, config in runs:
+            if config is not None:
+                path.write_text(json.dumps(config))
+            cli = [str(path) if a == "{config}" else a for a in argv]
+            parent, change = (run_op(tree, cli, work) for tree in trees)
+            lines = describe(parent, change)
+            if lines:
+                differing += 1
+                print(f"{label}: " + "; ".join(lines), flush=True)
+    print(f"{len(runs) - differing} of {len(runs)} runs identical")
     return 1 if differing else 0
 
 
