@@ -268,7 +268,7 @@ def _run_hierarchy(area: AreaFunction, grid: RadialGrid, args, report: dict) -> 
 
 
 def cmd_bound(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
-    grid = RadialGrid.uniform(cfg.radius, args.grid)
+    grid = RadialGrid(cfg.radius, args.grid)
     target = build_target(cfg)
     with stage("symmetrize"):
         area = area_of(target, grid, args.theta)
@@ -301,7 +301,7 @@ def cmd_oracle(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
                 "oracle_richardson": report["oracle"]["richardson"],
             }
         else:
-            grid = RadialGrid.uniform(cfg.radius, args.grid)
+            grid = RadialGrid(cfg.radius, args.grid)
             if isinstance(target, AreaFunction):
                 target = RiemannianModel(target.dimension, target.radius, warping_from_area(target))
             result = shoot_radial_lambda1(target, grid, args.tol)
@@ -316,7 +316,7 @@ def cmd_oracle(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
 
 
 def cmd_symmetrize(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
-    grid = RadialGrid.uniform(cfg.radius, args.grid)
+    grid = RadialGrid(cfg.radius, args.grid)
     target = build_target(cfg)
     with stage("symmetrize"):
         area = area_of(target, grid, args.theta)
@@ -331,7 +331,7 @@ def cmd_symmetrize(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
 
 
 def cmd_compare(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
-    grid = RadialGrid.uniform(cfg.radius, args.grid)
+    grid = RadialGrid(cfg.radius, args.grid)
     target = build_target(cfg)
     kappa_ref = args.kappa if args.kappa is not None else 0.0
     ref_warping = args.ref_warping or cfg.reference_warping
@@ -362,7 +362,7 @@ def cmd_compare(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
 def cmd_paper_example(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
     with stage("metric"):
         metric = bumped_disc_metric(cfg.radius)
-        grid = RadialGrid.uniform(cfg.radius, args.grid)
+        grid = RadialGrid(cfg.radius, args.grid)
 
     with stage("area-check"):
         area = area_from_polar_metric(metric, grid, args.theta)
@@ -431,7 +431,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     common.add_argument("--builtin", help="builtin model id, e.g. euclidean or hyperbolic(-1)")
     common.add_argument("--radius", type=_finite_float, help="ball radius")
     common.add_argument("--dimension", type=int, help="ball dimension (>= 2)")
-    common.add_argument("--kappa", type=_finite_float, help="space-form curvature parameter")
+    common.add_argument(
+        "--kappa", type=_finite_float,
+        help="space-form curvature parameter; a negative exponent form needs =, as in --kappa=-1e-3",
+    )
     common.add_argument("--grid", type=int, default=4096, help="radial grid intervals")
     common.add_argument("--theta", type=int, default=256, help="angular quadrature points")
     common.add_argument("--kmax", type=int, default=200, help="maximum hierarchy depth")

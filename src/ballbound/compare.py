@@ -27,7 +27,6 @@ from .geometry import (
 )
 from .moments import run_until_converged
 from .oracle import shoot_radial_lambda1
-from .quadrature import derivative_five_point
 
 BOUND_HOLDS = "bound-holds"
 BOUND_BELOW_REFERENCE = "bound-below-reference"
@@ -192,6 +191,6 @@ def equality_criterion(
         return False
     area = area_from_polar_metric(metric, grid, m_theta) if area is None else area
     a = area.samples[1]
-    target = derivative_five_point(a, grid.spacing)[1:-1] / a[1:-1]
+    target = grid.derivative(a)[1:-1] / a[1:-1]
     # A'/A = (n-1) w'/w with n = 2 against the angular mean of H on each circle
     return not np.any(np.abs(np.mean(h, axis=1) - target) > tol)

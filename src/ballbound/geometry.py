@@ -24,7 +24,7 @@ from .errors import (
     InvalidModelError,
     PrecisionError,
 )
-from .quadrature import _pchip, composite_weights
+from .quadrature import _pchip
 
 # Relative radii used to spot-check positivity/limit invariants at build time.
 _CHECK_FRACTIONS = np.array([1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0])
@@ -69,8 +69,23 @@ def _eigenvalue_scale(dimension: int, radius: float) -> float:
     return scale
 
 
+# Interval rules exact for cubics: a startup row for the first interval and a
+# sliding four-point kernel for interior intervals.  The last interval uses
+# the startup row mirrored.
+_FIRST_INTERVAL = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
+_INTERIOR = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+# Column sums of the cumulative rules: trapezoid weights with end
+# corrections, consistent with RadialGrid.cumulative to rounding.
+_END_CORRECTION = np.array([-16.0, 7.0, -4.0, 1.0]) / 24.0
+
+# Five-point first-derivative stencils (centered, then the two one-sided
+# rows used at the left edge; the right edge mirrors them with a sign flip).
+_D_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+_D_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+
+
 class RadialGrid:
-    """Uniform nodes on [0, R] with fourth-order quadrature weights."""
+    """Uniform nodes on [0, R] with fourth-order rules, O(spacing^4), for samples at them."""
 
     def __init__(self, radius: float, intervals: int):
         if intervals < 8:
@@ -78,16 +93,36 @@ class RadialGrid:
         _check_radius(radius)
         self.radius = radius
         self.intervals = intervals
-        self.spacing = radius / intervals
+        self.spacing = dx = radius / intervals
         self.nodes = np.linspace(0.0, radius, intervals + 1)
-        self.weights = composite_weights(intervals + 1, self.spacing)
+        self.weights = np.full(intervals + 1, dx)
+        self.weights[:4] += dx * _END_CORRECTION
+        self.weights[-4:] += dx * _END_CORRECTION[::-1]
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
 
-    @classmethod
-    def uniform(cls, radius: float, intervals: int) -> "RadialGrid":
-        """The grid with ``intervals`` subintervals (end-corrected weights)."""
-        return cls(radius, intervals)
+    def cumulative(self, y: np.ndarray) -> np.ndarray:
+        """Integral of the node samples y from 0 to each node; the first entry is exactly 0."""
+        d = np.empty(self.intervals)
+        d[0] = _FIRST_INTERVAL @ y[:4]
+        d[-1] = _FIRST_INTERVAL[::-1] @ y[-4:]
+        k0, k1, k2, k3 = _INTERIOR
+        d[1:-1] = k0 * y[:-3] + k1 * y[1:-2] + k2 * y[2:-1] + k3 * y[3:]
+        out = np.empty(self.intervals + 1)
+        out[0] = 0.0
+        np.cumsum(d * self.spacing, out=out[1:])
+        return out
+
+    def derivative(self, y: np.ndarray) -> np.ndarray:
+        """First derivative of the node samples y: five-point stencils, one-sided at the ends."""
+        dx = self.spacing
+        dy = np.empty(self.intervals + 1)
+        dy[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * dx)
+        dy[0] = _D_EDGE0 @ y[:5] / dx
+        dy[1] = _D_EDGE1 @ y[:5] / dx
+        dy[-1] = -(_D_EDGE0 @ y[-5:][::-1]) / dx
+        dy[-2] = -(_D_EDGE1 @ y[-5:][::-1]) / dx
+        return dy
 
 
 def space_form_warping(kappa: float, radius: float) -> Callable:

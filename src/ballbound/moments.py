@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DomainError, InvalidAreaError, PrecisionError
 from .geometry import AreaFunction, RadialGrid, _eigenvalue_scale, _eval_on
-from .quadrature import cumulative_integral
 
 NORM_RATIO = "norm-ratio"
 CENTER_RATIO = "center-ratio"
@@ -86,7 +85,7 @@ def _hierarchy(area: AreaFunction, grid: RadialGrid):
     if grid.intervals < _MIN_INTERVALS:
         raise DomainError(f"moment grids need at least {_MIN_INTERVALS} intervals")
     a = _area_values(area, grid)
-    dx, w = grid.spacing, grid.weights
+    w = grid.weights
     level, center = np.ones_like(a), 1.0
     mass = float(w @ (level * a))
     norm2 = float(w @ (level**2 * a))
@@ -95,11 +94,11 @@ def _hierarchy(area: AreaFunction, grid: RadialGrid):
     _eigenvalue_scale(area.dimension, grid.radius)  # names a radius whose lambda1 is no float
     while True:
         yield level, center, mass, norm2
-        inner = cumulative_integral(level * a, dx)
+        inner = grid.cumulative(level * a)
         integrand = np.zeros_like(inner)
         # (int_0^s T A)/A(s) ~ s * T(0)/n near 0: extend by its limit 0.
         integrand[1:] = inner[1:] / a[1:]
-        outer = cumulative_integral(integrand, dx)
+        outer = grid.cumulative(integrand)
         raw = outer[-1] - outer
         raw[-1] = 0.0
         center = float(raw[0])

@@ -1,79 +1,14 @@
-"""Fourth-order quadrature and finite differences on uniform grids.
+"""Interpolation and error estimation helpers.
 
-End-corrected composite weights, cumulative integrals assembled from
-piecewise-cubic interval rules, five-point derivatives, and Richardson
-error estimates.  Everything here assumes uniformly spaced samples, except
-the shape-preserving cubic interpolant (PCHIP) of sampled areas.
+The shape-preserving cubic interpolant (PCHIP) of sampled areas, and
+Richardson error estimates from one mesh halving.  The fourth-order rules
+on the radial grid are methods of :class:`ballbound.geometry.RadialGrid`.
 """
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
-
-from .errors import DomainError
-
-# Interval rules exact for cubics: a startup row for the first interval and a
-# sliding four-point kernel for interior intervals.  The last interval uses
-# the startup row mirrored.
-_FIRST_INTERVAL = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
-_INTERIOR = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
-# Column sums of the cumulative rules: trapezoid weights with end
-# corrections, consistent with cumulative_integral to rounding.
-_END_CORRECTION = np.array([-16.0, 7.0, -4.0, 1.0]) / 24.0
-
-# Five-point first-derivative stencils (centered, then the two one-sided
-# rows used at the left edge; the right edge mirrors them with a sign flip).
-_D_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_D_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-
-
-def composite_weights(n_nodes: int, dx: float) -> np.ndarray:
-    """Definite-integral weights on a uniform grid, global error O(dx^4)."""
-    if n_nodes < 8:
-        raise DomainError(f"composite weights need at least 8 nodes, got {n_nodes}")
-    if dx <= 0.0:
-        raise DomainError("grid spacing must be positive")
-    w = np.full(n_nodes, dx)
-    w[:4] += dx * _END_CORRECTION
-    w[-4:] += dx * _END_CORRECTION[::-1]
-    return w
-
-
-def cumulative_integral(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative integral of uniformly spaced samples, O(dx^4) at every node.
-
-    Entry i approximates the integral from the first node to node i; the
-    first entry is exactly 0.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    if n < 8:
-        raise DomainError(f"cumulative integral needs at least 8 nodes, got {n}")
-    d = np.empty(n - 1)
-    d[0] = _FIRST_INTERVAL @ y[:4]
-    d[-1] = _FIRST_INTERVAL[::-1] @ y[-4:]
-    k0, k1, k2, k3 = _INTERIOR
-    d[1:-1] = k0 * y[0 : n - 3] + k1 * y[1 : n - 2] + k2 * y[2 : n - 1] + k3 * y[3:n]
-    out = np.empty(n)
-    out[0] = 0.0
-    np.cumsum(d * dx, out=out[1:])
-    return out
-
-
-def derivative_five_point(y: np.ndarray, dx: float) -> np.ndarray:
-    """First derivative of uniformly spaced samples, O(dx^4), one-sided ends."""
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    if n < 5:
-        raise DomainError(f"five-point derivative needs at least 5 nodes, got {n}")
-    dy = np.empty(n)
-    dy[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * dx)
-    dy[0] = _D_EDGE0 @ y[:5] / dx
-    dy[1] = _D_EDGE1 @ y[:5] / dx
-    dy[-1] = -(_D_EDGE0 @ y[-5:][::-1]) / dx
-    dy[-2] = -(_D_EDGE1 @ y[-5:][::-1]) / dx
-    return dy
 
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:

@@ -36,7 +36,6 @@ from ballbound.exprparse import (
     Piecewise,
     Var,
 )
-from ballbound.quadrature import derivative_five_point
 
 # Independent reference eigenvalues (Bessel zero via scipy, classical values).
 J0_SQUARED = float(jn_zeros(0, 1)[0] ** 2)
@@ -60,12 +59,12 @@ def run_python(*args: str, timeout: float = 60.0) -> subprocess.CompletedProcess
 
 @pytest.fixture(scope="session")
 def unit_grid():
-    return RadialGrid.uniform(1.0, 512)
+    return RadialGrid(1.0, 512)
 
 
 @pytest.fixture(scope="session")
 def fine_unit_grid():
-    return RadialGrid.uniform(1.0, 4096)
+    return RadialGrid(1.0, 4096)
 
 
 def model_suite() -> list[tuple[str, RiemannianModel]]:
@@ -258,7 +257,7 @@ def reference_rayleigh_quotient(
     For a radial profile the angular integrals collapse onto the area function.
     """
     a = area_from_polar_metric(metric, grid, m_theta).samples[1]
-    df = derivative_five_point(profile, grid.spacing)
+    df = grid.derivative(profile)
     return float(grid.weights @ (df**2 * a)) / float(grid.weights @ (profile**2 * a))
 
 

@@ -52,7 +52,7 @@ def _report(number: int, description: str, checks: list[tuple[bool, str]]):
 
 
 def test_criterion_1_euclidean_disc_estimators():
-    grid = RadialGrid.uniform(1.0, 4096)
+    grid = RadialGrid(1.0, 4096)
     area = area_from_warping(euclidean_model(2, 1.0))
     start = time.perf_counter()
     norm, center, mass = run_until_converged(area, grid, 1e-6, 200)
@@ -75,7 +75,7 @@ def test_criterion_1_euclidean_disc_estimators():
 def test_criterion_2_dilation():
     bounds = {}
     for radius in (1.0, 2.0):
-        grid = RadialGrid.uniform(radius, 4096)
+        grid = RadialGrid(radius, 4096)
         area = area_from_warping(euclidean_model(2, radius))
         bounds[radius], _, _ = run_until_converged(area, grid, 1e-8, 200)
     b1, b2 = bounds[1.0].final, bounds[2.0].final
@@ -88,7 +88,7 @@ def test_criterion_2_dilation():
 
 
 def test_criterion_3_euclidean_three_ball():
-    grid = RadialGrid.uniform(1.0, 2048)
+    grid = RadialGrid(1.0, 2048)
     model = euclidean_model(3, 1.0)
     oracle = shoot_radial_lambda1(model, grid, 1e-10)
     norm, center, mass = run_until_converged(area_from_warping(model), grid, 1e-8, 200)
@@ -107,7 +107,7 @@ def test_criterion_3_euclidean_three_ball():
 
 def test_criterion_4_hemisphere():
     radius = math.pi / 2
-    grid = RadialGrid.uniform(radius, 2048)
+    grid = RadialGrid(radius, 2048)
     model = RiemannianModel(2, radius, space_form_warping(1.0, radius))
     oracle = shoot_radial_lambda1(model, grid, 1e-10)
     norm, center, mass = run_until_converged(area_from_warping(model), grid, 1e-8, 200)
@@ -126,7 +126,7 @@ def test_criterion_4_hemisphere():
 
 def test_criterion_5_hyperbolic_ball_and_cheng():
     radius = 2.0
-    grid = RadialGrid.uniform(radius, 2048)
+    grid = RadialGrid(radius, 2048)
     hyperbolic = space_form_model(2, -1.0, radius)
     oracle = shoot_radial_lambda1(hyperbolic, grid, 1e-10)
     norm, center, mass = run_until_converged(
@@ -154,7 +154,7 @@ def test_criterion_5_hyperbolic_ball_and_cheng():
 
 
 def test_criterion_6_bumped_disc_symmetrization():
-    grid = RadialGrid.uniform(3.0, 4096)
+    grid = RadialGrid(3.0, 4096)
     area = area_from_polar_metric(bumped_disc_metric(3.0), grid, 256)
     worst = float(np.max(np.abs(area.samples[1] - 2.0 * math.pi * grid.nodes)))
     _report(
@@ -166,7 +166,7 @@ def test_criterion_6_bumped_disc_symmetrization():
 
 def test_criterion_7_strict_inequality_at_radius_three():
     metric = bumped_disc_metric(3.0)
-    grid = RadialGrid.uniform(3.0, 1024)
+    grid = RadialGrid(3.0, 1024)
     fine, estimate, _ = eigen_2d_refined(metric, Mesh2D(64, 64), 1e-9)
     flat_value = J0_SQUARED / 9.0
     gap = flat_value - fine.lambda1
@@ -182,7 +182,7 @@ def test_criterion_7_strict_inequality_at_radius_three():
 
 
 def test_criterion_8_symbolic_moment_oracle():
-    grid = RadialGrid.uniform(1.0, 4096)
+    grid = RadialGrid(1.0, 4096)
     area = area_from_warping(euclidean_model(2, 1.0))
     table = compute_moments(area, grid, 2)
     t = grid.nodes
@@ -204,7 +204,7 @@ def test_criterion_9_property_suites():
     # moment positivity/monotonicity over the model suite
     shape_ok = True
     for label, model in model_suite():
-        grid = RadialGrid.uniform(model.radius, 128)
+        grid = RadialGrid(model.radius, 128)
         table = compute_moments(area_from_warping(model), grid, 5)
         for k in range(1, 6):
             level = table.levels[k]
@@ -219,7 +219,7 @@ def test_criterion_9_property_suites():
     # warping <-> area round trip at 1e-12 relative
     round_ok = True
     for label, model in model_suite():
-        grid = RadialGrid.uniform(model.radius, 256)
+        grid = RadialGrid(model.radius, 256)
         back = warping_from_area(area_from_warping(model))
         t = grid.nodes[1:]
         expect = _eval_on(model.warping, t)
@@ -230,7 +230,7 @@ def test_criterion_9_property_suites():
     # eigenfunction shape: f'(0) = 0 to grid tolerance and f strictly decreasing
     shape2_ok = True
     for label, model in model_suite():
-        grid = RadialGrid.uniform(model.radius, 512)
+        grid = RadialGrid(model.radius, 512)
         res = shoot_radial_lambda1(model, grid, 1e-10)
         f = res.eigenfunction
         if not (

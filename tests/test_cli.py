@@ -531,6 +531,11 @@ class TestConfigContract:
         assert self.model_of(tmp_path, "compare", *argv)["kappa"] is None
         assert self.model_of(tmp_path, "bound", *argv)["kappa"] == -1.0
 
+    def test_negative_exponent_kappa_with_equals(self, tmp_path):
+        # argparse takes "-1e-3" after a space for a flag; the "=" form is the documented one
+        argv = ["--builtin", "hyperbolic", "--kappa=-1e-3", "--grid", "64"]
+        assert self.model_of(tmp_path, "bound", *argv)["kappa"] == -0.001
+
 
 class TestOutputsAndCodes:
     def test_json_is_deterministic_apart_from_timings(self, tmp_path):

@@ -99,7 +99,7 @@ class TestChengReport:
         assert not report.monotone_ok
 
     def test_bumped_disc_rejects_equality(self):
-        grid = RadialGrid.uniform(3.0, 512)
+        grid = RadialGrid(3.0, 512)
         report = cheng_report(
             bumped_disc_metric(3.0), 0.0, grid, 1e-8, m_theta=64, model_id="bumped"
         )
@@ -140,7 +140,7 @@ class TestChengReport:
         """Whenever the monotonicity hypothesis passes, the bound holds."""
         references = (-1.0, 0.0, 1.0)
         for label, metric in metric_suite():
-            grid = RadialGrid.uniform(metric.radius, 256)
+            grid = RadialGrid(metric.radius, 256)
             for kappa in references:
                 if kappa > 0.0 and metric.radius >= math.pi / math.sqrt(kappa):
                     continue
@@ -161,17 +161,17 @@ class TestEqualityCriterion:
 
     def test_hemisphere_density(self):
         radius = math.pi / 2
-        grid = RadialGrid.uniform(radius, 512)
+        grid = RadialGrid(radius, 512)
         hemi = polar_metric_from_warping(space_form_warping(1.0, radius), radius)
         # h(t) = d/dt log sin t = cot t, matched against the sampled warping
         assert equality_criterion(hemi, grid, 64, 1e-6)
 
     def test_bumped_disc_fails(self):
-        grid = RadialGrid.uniform(3.0, 256)
+        grid = RadialGrid(3.0, 256)
         assert not equality_criterion(bumped_disc_metric(3.0), grid, 64, 1e-6)
 
     def test_bumped_disc_inside_flat_region_passes(self):
-        grid = RadialGrid.uniform(1.0, 256)
+        grid = RadialGrid(1.0, 256)
         assert equality_criterion(bumped_disc_metric(1.0), grid, 64, 1e-6)
 
     @pytest.mark.parametrize("radius,sharp", [(1.0, True), (3.0, False)])
@@ -179,7 +179,7 @@ class TestEqualityCriterion:
         counts = []
         for intervals in (64, 512):
             metric, calls = counting_metric(bumped_disc_metric(radius))
-            grid = RadialGrid.uniform(radius, intervals)
+            grid = RadialGrid(radius, intervals)
             assert equality_criterion(metric, grid, 64, 1e-6) is sharp
             counts.append(len(calls))
         # the curvature field once; a sharp metric also builds its area once
@@ -196,7 +196,7 @@ class TestEqualityCriterion:
         from ballbound import area_from_polar_metric, run_until_converged
 
         for label, metric in metric_suite():
-            grid = RadialGrid.uniform(metric.radius, 256)
+            grid = RadialGrid(metric.radius, 256)
             if not equality_criterion(metric, grid, 64, 1e-6):
                 continue
             area = area_from_polar_metric(metric, grid, 64)

@@ -87,7 +87,7 @@ class TestUnitSphereVolume:
 
 class TestAreaOf:
     def test_each_target_kind(self):
-        grid = RadialGrid.uniform(1.0, 64)
+        grid = RadialGrid(1.0, 64)
         model = euclidean_model(3, 1.0)
         metric = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
         area = AreaFunction(dimension=2, radius=1.0, eval=lambda t: 2.0 * math.pi * t)
@@ -98,7 +98,7 @@ class TestAreaOf:
 
     def test_rejects_other_objects(self):
         with pytest.raises(DomainError, match="no sphere-area function"):
-            area_of(1.0, RadialGrid.uniform(1.0, 64), 16)
+            area_of(1.0, RadialGrid(1.0, 64), 16)
 
 
 class TestSpaceFormWarping:
@@ -142,7 +142,7 @@ class TestAreaFromWarping:
 class TestWarpingAreaRoundTrip:
     @pytest.mark.parametrize("label,model", model_suite())
     def test_round_trip_on_grid(self, label, model):
-        grid = RadialGrid.uniform(model.radius, 256)
+        grid = RadialGrid(model.radius, 256)
         area = area_from_warping(model)
         back = warping_from_area(area)
         t = grid.nodes[1:]
@@ -161,7 +161,7 @@ class TestWarpingAreaRoundTrip:
         assert float(_eval_on(w3, 1.0)) == pytest.approx(math.sinh(1.0), rel=1e-13)
 
     def test_sampled_inversion(self):
-        grid = RadialGrid.uniform(math.pi / 2, 128)
+        grid = RadialGrid(math.pi / 2, 128)
         metric = polar_metric_from_warping(space_form_warping(1.0, math.pi / 2), math.pi / 2)
         area = area_from_polar_metric(metric, grid, 64)
         w = warping_from_area(area)
@@ -181,25 +181,25 @@ class TestWarpingAreaRoundTrip:
 
 class TestAreaFromPolarMetric:
     def test_bumped_disc_keeps_flat_circles(self):
-        grid = RadialGrid.uniform(3.0, 512)
+        grid = RadialGrid(3.0, 512)
         area = area_from_polar_metric(bumped_disc_metric(3.0), grid, 256)
         assert np.max(np.abs(area.samples[1] - 2.0 * math.pi * grid.nodes)) < 1e-10
 
     def test_theta_independent_density_is_exact(self):
-        grid = RadialGrid.uniform(1.0, 64)
+        grid = RadialGrid(1.0, 64)
         metric = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
         area = area_from_polar_metric(metric, grid, 32)
         assert np.max(np.abs(area.samples[1] - 2.0 * math.pi * grid.nodes)) < 1e-13
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_oscillatory_density_averages_out(self):
-        grid = RadialGrid.uniform(1.0, 64)
+        grid = RadialGrid(1.0, 64)
         area = area_from_polar_metric(wavy_cone_metric(1.0), grid, 64)
         # int sin(3 theta) dtheta = 0 over a full period (hand integration)
         assert np.max(np.abs(area.samples[1] - 2.0 * math.pi * grid.nodes)) < 1e-10
 
     def test_odd_theta_count_rejected(self):
-        grid = RadialGrid.uniform(1.0, 64)
+        grid = RadialGrid(1.0, 64)
         metric = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
         with pytest.raises(DomainError):
             area_from_polar_metric(metric, grid, 33)
@@ -261,15 +261,15 @@ class TestMeanCurvature:
 
 class TestRadialityDeviation:
     def test_rotationally_symmetric_metrics_are_radial(self):
-        grid = RadialGrid.uniform(1.0, 64)
+        grid = RadialGrid(1.0, 64)
         flat = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
         assert radiality_deviation(flat, grid, 32) == 0.0
-        gridh = RadialGrid.uniform(math.pi / 2, 64)
+        gridh = RadialGrid(math.pi / 2, 64)
         hemi = polar_metric_from_warping(space_form_warping(1.0, math.pi / 2), math.pi / 2)
         assert radiality_deviation(hemi, gridh, 32) < 1e-12
 
     def test_bumped_disc_is_not_radial(self):
-        grid = RadialGrid.uniform(3.0, 128)
+        grid = RadialGrid(3.0, 128)
         deviation = radiality_deviation(bumped_disc_metric(3.0), grid, 64)
         assert deviation > 1e-3
         # lower bound from the closed form at the node closest to t = 2.5
@@ -285,7 +285,7 @@ class TestRadialityDeviation:
             density=lambda r, th: base.density(r, np.asarray(th) + shift),
             density_r=lambda r, th: base.density_r(r, np.asarray(th) + shift),
         )
-        grid = RadialGrid.uniform(3.0, 128)
+        grid = RadialGrid(3.0, 128)
         # 192 angles make the pi/3 rotation a permutation of the sample set
         d0 = radiality_deviation(base, grid, 192)
         d1 = radiality_deviation(rotated, grid, 192)
@@ -295,7 +295,7 @@ class TestRadialityDeviation:
         counts = []
         for intervals in (64, 512):
             metric, calls = counting_metric(bumped_disc_metric(3.0))
-            assert radiality_deviation(metric, RadialGrid.uniform(3.0, intervals), 64) > 1e-3
+            assert radiality_deviation(metric, RadialGrid(3.0, intervals), 64) > 1e-3
             counts.append(len(calls))
         # one call each of the density and its radial derivative
         assert counts == [2, 2]
@@ -304,7 +304,7 @@ class TestRadialityDeviation:
 class TestSmallRadiusLaw:
     @pytest.mark.parametrize("label,model", model_suite())
     def test_leading_area_coefficient(self, label, model):
-        grid = RadialGrid.uniform(model.radius, 2048)
+        grid = RadialGrid(model.radius, 2048)
         area = area_from_warping(model)
         t1 = grid.nodes[1]
         assert t1 <= model.radius / 1000.0
@@ -317,12 +317,12 @@ class TestSmallRadiusLaw:
 class TestValidation:
     def test_radial_grid_invariants(self):
         with pytest.raises(DomainError):
-            RadialGrid.uniform(-1.0, 64)
-        grid = RadialGrid.uniform(2.0, 64)
+            RadialGrid(-1.0, 64)
+        grid = RadialGrid(2.0, 64)
         assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 2.0
         assert abs(grid.weights.sum() - 2.0) < 1e-12 * 2.0
         for radius, intervals in ((2.0, 64), (0.3, 16384), (3.1, 32768)):
-            grid = RadialGrid.uniform(radius, intervals)
+            grid = RadialGrid(radius, intervals)
             assert grid.spacing == grid.nodes[1] - grid.nodes[0] == radius / intervals
 
     def test_non_finite_area_rejected(self):
@@ -341,7 +341,7 @@ class TestValidation:
 
     def test_center_ratio_policy(self):
         # a sampled area warns, a closed-form area raises; models raise (below)
-        grid = RadialGrid.uniform(1.0, 64)
+        grid = RadialGrid(1.0, 64)
         with pytest.warns(RuntimeWarning):
             tripled = PolarMetric2D(radius=1.0, density=lambda r, th: 3.0 * np.asarray(r) + 0.0 * th)
         with pytest.warns(RuntimeWarning, match=r"A\(t\)/t\^\(n-1\) -> 3"):

@@ -14,9 +14,7 @@ from ballbound import (
     shoot_radial_lambda1,
     space_form_warping,
 )
-from ballbound import moments
 from ballbound.errors import DomainError, InvalidAreaError
-from ballbound.quadrature import cumulative_integral
 
 from conftest import J0_SQUARED, PI_SQUARED, model_suite
 
@@ -65,7 +63,7 @@ class TestSymbolicLevels:
 class TestLevelShape:
     @pytest.mark.parametrize("label,model", model_suite())
     def test_positivity_and_monotonicity(self, label, model):
-        grid = RadialGrid.uniform(model.radius, 128)
+        grid = RadialGrid(model.radius, 128)
         table = compute_moments(area_from_warping(model), grid, 6)
         for k in range(1, 7):
             level = table.levels[k]
@@ -103,7 +101,7 @@ class TestConvergedEstimates:
 
     @pytest.mark.parametrize("label,model", model_suite())
     def test_upper_bound_matches_radial_oracle(self, label, model):
-        grid = RadialGrid.uniform(model.radius, 512)
+        grid = RadialGrid(model.radius, 512)
         norm, center, mass = run_until_converged(area_from_warping(model), grid, 1e-9, 200)
         oracle = shoot_radial_lambda1(model, grid, 1e-10)
         assert abs(norm.final - oracle.lambda1) <= 1e-3 * oracle.lambda1
@@ -113,7 +111,7 @@ class TestScaling:
     def test_dilation_invariance(self):
         finals = {}
         for radius in (0.5, 1.0, 2.0, 4.0):
-            grid = RadialGrid.uniform(radius, 512)
+            grid = RadialGrid(radius, 512)
             area = area_from_warping(euclidean_model(2, radius))
             norm, _, _ = run_until_converged(area, grid, 1e-10, 200)
             finals[radius] = norm.final * radius**2
@@ -122,8 +120,8 @@ class TestScaling:
             assert abs(value - base) <= 1e-6 * base
 
     def test_doubling_radius_quarters_bound(self):
-        grid1 = RadialGrid.uniform(1.0, 1024)
-        grid2 = RadialGrid.uniform(2.0, 1024)
+        grid1 = RadialGrid(1.0, 1024)
+        grid2 = RadialGrid(2.0, 1024)
         b1 = run_until_converged(disc_area(), grid1, 1e-8, 200)[0].final
         b2 = run_until_converged(disc_area(2.0), grid2, 1e-8, 200)[0].final
         assert abs(b2 - b1 / 4.0) <= 1e-6 * b2
@@ -136,7 +134,7 @@ class TestGridRefinement:
         area = area_from_warping(model)
         finals = {"norm": [], "center": [], "mass": []}
         for intervals in (32, 64, 128):
-            grid = RadialGrid.uniform(radius, intervals)
+            grid = RadialGrid(radius, intervals)
             norm, center, mass = run_until_converged(area, grid, 1e-12, 100)
             finals["norm"].append(norm.final)
             finals["center"].append(center.final)
@@ -158,12 +156,13 @@ class TestStoppingAndErrors:
     def test_levels_computed_on_demand(self, unit_grid, monkeypatch):
         # each level costs two cumulative integrals; none is built past the last asked for
         calls = []
+        cumulative = RadialGrid.cumulative
 
-        def counting(y, dx):
-            calls.append(dx)
-            return cumulative_integral(y, dx)
+        def counting(grid, y):
+            calls.append(y.size)
+            return cumulative(grid, y)
 
-        monkeypatch.setattr(moments, "cumulative_integral", counting)
+        monkeypatch.setattr(RadialGrid, "cumulative", counting)
         norm, _, _ = run_until_converged(disc_area(), unit_grid, 1e-14, 5)
         assert not norm.converged and len(calls) == 2 * 5
         calls.clear()
@@ -177,7 +176,7 @@ class TestStoppingAndErrors:
         assert 0.05 < center.rate < 0.5
 
     def test_small_grid_rejected(self):
-        grid = RadialGrid.uniform(1.0, 8)
+        grid = RadialGrid(1.0, 8)
         with pytest.raises(DomainError):
             run_until_converged(disc_area(), grid, 1e-8, 10)
 

@@ -58,7 +58,7 @@ class TestRadialShooting:
 
     def test_hemisphere(self):
         radius = math.pi / 2
-        grid = RadialGrid.uniform(radius, 1024)
+        grid = RadialGrid(radius, 1024)
         model = RiemannianModel(2, radius, space_form_warping(1.0, radius))
         res = shoot_radial_lambda1(model, grid, 1e-10)
         # residual of f = cos t in the radial equation with w = sin t is zero
@@ -68,7 +68,7 @@ class TestRadialShooting:
 
     @pytest.mark.parametrize("label,model", model_suite())
     def test_eigenfunction_shape(self, label, model):
-        grid = RadialGrid.uniform(model.radius, 512)
+        grid = RadialGrid(model.radius, 512)
         res = shoot_radial_lambda1(model, grid, 1e-10)
         f = res.eigenfunction
         assert f[0] == 1.0
@@ -83,7 +83,7 @@ class TestRadialShooting:
         # strongly negative curvature: lambda1 >= |kappa|/4 = 100 exceeds the
         # first guess 8 j0^2 ~ 46, whose sweep has no zero, so the bracket
         # must double at least once
-        grid = RadialGrid.uniform(1.0, 2048)
+        grid = RadialGrid(1.0, 2048)
         model = space_form_model(2, -400.0, 1.0)
         res = shoot_radial_lambda1(model, grid, 1e-8)
         assert res.lambda1 > 4.0 * 2.0 * J0_SQUARED
@@ -94,7 +94,7 @@ class TestRadialShooting:
         # 12 j0^2 / R^2 ~ 0.007, and lambda1..lambda5 all lie within 0.03 of it
         radius, tol = 100.0, 1e-8
         model = space_form_model(3, -1.0, radius)
-        res = shoot_radial_lambda1(model, RadialGrid.uniform(radius, 4096), tol)
+        res = shoot_radial_lambda1(model, RadialGrid(radius, 4096), tol)
         exact = 1.0 + PI_SQUARED / radius**2
         assert abs(res.lambda1 - exact) <= 5.0 * tol * exact + tol
 
@@ -114,7 +114,7 @@ class TestRadialShooting:
         radius = math.exp(log_radius)
         assume(kappa <= 0.0 or radius < 0.9 * math.pi / math.sqrt(kappa))
         model = space_form_model(3, kappa, radius)
-        res = shoot_radial_lambda1(model, RadialGrid.uniform(radius, 1024), 1e-10)
+        res = shoot_radial_lambda1(model, RadialGrid(radius, 1024), 1e-10)
         exact = PI_SQUARED / radius**2 - kappa
         assert abs(res.lambda1 - exact) <= 1e-7 * exact
         f = res.eigenfunction
@@ -143,8 +143,8 @@ class TestRadialShooting:
         assert lam == pytest.approx(J0_SQUARED / 1e-8, rel=1e-9)
 
     def test_scaling_with_radius(self):
-        grid1 = RadialGrid.uniform(1.0, 512)
-        grid2 = RadialGrid.uniform(2.0, 512)
+        grid1 = RadialGrid(1.0, 512)
+        grid2 = RadialGrid(2.0, 512)
         lam1 = shoot_radial_lambda1(euclidean_model(2, 1.0), grid1, 1e-10).lambda1
         lam2 = shoot_radial_lambda1(euclidean_model(2, 2.0), grid2, 1e-10).lambda1
         assert lam2 == pytest.approx(lam1 / 4.0, rel=1e-8)
@@ -224,7 +224,7 @@ class TestEigen2D:
         """Desk-scale main comparison: lambda1(g) <= bound of the symmetrized model."""
         from ballbound import area_from_polar_metric
 
-        grid = RadialGrid.uniform(metric.radius, 512)
+        grid = RadialGrid(metric.radius, 512)
         area = area_from_polar_metric(metric, grid, 64)
         norm, _, _ = run_until_converged(area, grid, 1e-9, 200)
         fine, estimate, extrapolated = eigen_2d_refined(metric, Mesh2D(32, 32), 1e-9)
@@ -260,7 +260,7 @@ class TestRayleighQuotient:
         """The symmetrized model's eigenfunction gives the same quotient on the
         bumped metric because the two share every sphere area."""
         radius = 3.0
-        grid = RadialGrid.uniform(radius, 512)
+        grid = RadialGrid(radius, 512)
         model = euclidean_model(2, radius)
         profile = shoot_radial_lambda1(model, grid, 1e-10).eigenfunction
         quotient = reference_rayleigh_quotient(bumped_disc_metric(radius), grid, profile, 128)

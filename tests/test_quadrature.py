@@ -2,37 +2,31 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from ballbound.errors import DomainError
-from ballbound.quadrature import (
-    _pchip,
-    composite_weights,
-    cumulative_integral,
-    derivative_five_point,
-    richardson_estimate,
-    richardson_extrapolate,
-)
+from ballbound import RadialGrid
+from ballbound.quadrature import _pchip, richardson_estimate, richardson_extrapolate
 
 
 def test_weights_sum_to_interval_and_stay_positive():
-    for n in (8, 17, 64, 4097):
-        w = composite_weights(n, 1.0 / (n - 1))
+    for intervals in (8, 16, 63, 4096):
+        w = RadialGrid(1.0, intervals).weights
         assert np.all(w > 0.0)
         assert abs(w.sum() - 1.0) < 1e-13
 
 
 def test_weights_exact_for_cubics():
-    x = np.linspace(0.0, 2.0, 33)
-    w = composite_weights(x.size, x[1] - x[0])
+    grid = RadialGrid(2.0, 32)
+    x = grid.nodes
     y = 3.0 * x**3 - x**2 + 5.0 * x - 1.0
     exact = 3.0 / 4.0 * 2.0**4 - 2.0**3 / 3.0 + 5.0 / 2.0 * 2.0**2 - 2.0
-    assert abs(w @ y - exact) < 1e-12
+    assert abs(grid.weights @ y - exact) < 1e-12
 
 
 def test_cumulative_exact_for_cubics():
-    x = np.linspace(0.0, 1.0, 21)
+    grid = RadialGrid(1.0, 20)
+    x = grid.nodes
     y = x**3 - 2.0 * x + 1.0
     exact = x**4 / 4.0 - x**2 + x
-    out = cumulative_integral(y, x[1] - x[0])
+    out = grid.cumulative(y)
     assert out[0] == 0.0
     assert np.max(np.abs(out - exact)) < 1e-15
 
@@ -40,26 +34,25 @@ def test_cumulative_exact_for_cubics():
 def test_cumulative_fourth_order_on_sine():
     errs = []
     for n in (64, 128, 256):
-        x = np.linspace(0.0, 1.0, n + 1)
-        out = cumulative_integral(np.sin(x), x[1] - x[0])
-        errs.append(np.max(np.abs(out - (1.0 - np.cos(x)))))
+        grid = RadialGrid(1.0, n)
+        out = grid.cumulative(np.sin(grid.nodes))
+        errs.append(np.max(np.abs(out - (1.0 - np.cos(grid.nodes)))))
     assert errs[0] / errs[1] > 12.0
     assert errs[1] / errs[2] > 12.0
 
 
 def test_cumulative_total_matches_weights():
-    x = np.linspace(0.0, 3.0, 50)
-    y = np.exp(-(x**2))
-    w = composite_weights(x.size, x[1] - x[0])
-    out = cumulative_integral(y, x[1] - x[0])
-    assert abs(out[-1] - w @ y) < 1e-14
+    grid = RadialGrid(3.0, 49)
+    y = np.exp(-(grid.nodes**2))
+    assert abs(grid.cumulative(y)[-1] - grid.weights @ y) < 1e-14
 
 
 def test_derivative_exact_for_quartics():
-    x = np.linspace(0.0, 1.0, 17)
+    grid = RadialGrid(1.0, 16)
+    x = grid.nodes
     y = x**4 - 3.0 * x**2 + x
     expect = 4.0 * x**3 - 6.0 * x + 1.0
-    assert np.max(np.abs(derivative_five_point(y, x[1] - x[0]) - expect)) < 1e-11
+    assert np.max(np.abs(grid.derivative(y) - expect)) < 1e-11
 
 
 @pytest.mark.parametrize("nodes", ["uniform", "non-uniform"])
@@ -100,11 +93,3 @@ def test_richardson_helpers():
     assert abs(richardson_estimate(coarse, fine, 2) - 0.01) < 1e-15
     assert abs(richardson_extrapolate(coarse, fine, 2) - 1.0) < 1e-15
 
-
-def test_input_validation():
-    with pytest.raises(DomainError):
-        composite_weights(5, 0.1)
-    with pytest.raises(DomainError):
-        cumulative_integral(np.ones(4), 0.1)
-    with pytest.raises(DomainError):
-        derivative_five_point(np.ones(3), 0.1)

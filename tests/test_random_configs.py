@@ -10,7 +10,7 @@ import os
 import time
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ballbound.cli import main
@@ -53,7 +53,8 @@ def configs(draw):
     return cfg
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@seed(16)
+@settings(max_examples=200, deadline=None, database=None)
 @given(
     cfg=configs(),
     command=st.sampled_from(["bound", "oracle", "symmetrize", "compare", "paper-example"]),

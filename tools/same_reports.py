@@ -1,12 +1,13 @@
-"""Check that two checkouts give the same reports on every benchmark op and error path.
+"""Check that two checkouts give the same reports on benchmark ops, error and success paths.
 
     python3 tools/same_reports.py PARENT CHANGE [SEED ...]
 
 PARENT and CHANGE are checkout roots, each with a ``src/ballbound``.  For
 each seed (default 1 2 3), every op and probe of the workloads in this
 checkout's ``perfbench/ops.py`` runs once per tree; then each command of
-``ERROR_PATHS``, all of which end in an error, runs once per tree.  Every
-run is a fresh ``python -m ballbound.cli`` process with that tree's ``src``
+``ERROR_PATHS``, all of which end in an error, and of ``SUCCESS_PATHS``,
+which succeed on inputs the benchmark ops never reach, runs once per tree.
+Every run is a fresh ``python -m ballbound.cli`` process with that tree's ``src``
 as PYTHONPATH and ``PYTHONDONTWRITEBYTECODE=1``.  A run differs when its
 exit code, its report without ``timings``, or its stderr differs.  Before
 stderr is compared, a warning's location ``<path>/ballbound/<module>.py:<line>``
@@ -56,6 +57,26 @@ ERROR_PATHS = [
     ("paper-example model flags",
      ["paper-example", "--dimension", "3", "--kappa", "5", "--builtin", "euclidean"], None),
     ("builtin curvature", ["bound", "--builtin", "euclidean(2)"], None),
+    ("moment grid 8", ["bound", "--builtin", "euclidean", "--grid", "8"], None),
+]
+
+WAVY = {"kind": "polar2d", "rho": "sinh(r)*(1+0.2*sin(2*theta))", "radius": 2}
+# commands that succeed off the benchmark's path: every benchmark op runs on
+# grid 4096 with a flat-area density, so these reach the rules' end rows on
+# other grids and the last node of a curved area
+SUCCESS_PATHS = [
+    ("bound grid 16", ["bound", "--builtin", "euclidean", "--grid", "16"], None),
+    ("spherical grid 16384",
+     ["bound", "--builtin", "spherical", "--dimension", "3", "--radius", "3.1",
+      "--grid", "16384"], None),
+    ("oracle grid 12",
+     ["oracle", "--builtin", "hyperbolic", "--dimension", "3", "--radius", "5",
+      "--grid", "12"], None),
+    ("wavy bound", ["bound", "--config", "{config}", "--grid", "512"], WAVY),
+    ("wavy compare", ["compare", "--config", "{config}", "--grid", "512"], WAVY),
+    ("symmetrize csv", ["symmetrize", "--config", "{config}", "--grid", "64", "--format", "csv"],
+     {"kind": "polar2d", "rho": "sinh(r)", "radius": 2}),
+    ("paper-example radius 3.5", ["paper-example", "--radius", "3.5", "--grid", "1024"], None),
 ]
 
 
@@ -119,6 +140,7 @@ def main(argv=None) -> int:
         for op in [*workload.round, *(probe.op for probe in workload.probes)]
     ]
     runs += [(f"error path [{label}]", argv, config) for label, argv, config in ERROR_PATHS]
+    runs += [(f"success path [{label}]", argv, config) for label, argv, config in SUCCESS_PATHS]
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
