@@ -26,7 +26,6 @@ from .errors import (
     ExpressionSyntaxError,
     InvalidAreaError,
     InvalidMetricError,
-    InvalidModelError,
     PrecisionError,
 )
 from .exprparse import evaluate, format_expression, free_variables, parse
@@ -34,7 +33,6 @@ from .geometry import (
     AreaFunction,
     PolarMetric2D,
     RadialGrid,
-    RiemannianModel,
     area_from_polar_metric,
     area_from_warping,
     bumped_disc_metric,
@@ -81,12 +79,10 @@ __all__ = [
     "HYPOTHESIS_FAILS",
     "InvalidAreaError",
     "InvalidMetricError",
-    "InvalidModelError",
     "Mesh2D",
     "PolarMetric2D",
     "PrecisionError",
     "RadialGrid",
-    "RiemannianModel",
     "area_from_polar_metric",
     "area_from_warping",
     "build_discrete_laplacian",

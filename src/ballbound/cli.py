@@ -8,6 +8,9 @@ symmetrize      emit the area/warping tables of the symmetrized metric
 compare         space-form comparison verdict (monotonicity + bound + oracle)
 paper-example   one-shot reproduction of the built-in bumped-disc example
 
+A radial model, given as a builtin, a warping or an area, becomes one area
+function A(t) before the first stage, and every subcommand reads that area.
+
 Reports are JSON (default) or CSV.  JSON reports follow
 :data:`REPORT_SCHEMA`; two runs with the same inputs differ only in the
 ``timings`` block.  Each subcommand runs in named stages; ``timings`` holds
@@ -20,7 +23,8 @@ compare         compare
 paper-example   metric, area-check, bound, oracle-2d, sharpness
 
 An error raised inside a stage names it, e.g. ``invalid input: stage
-'oracle' failed: ...``.
+'oracle' failed: ...``; one found while the model is built, before the
+first stage, has no stage prefix.
 
 Exit codes: 0 success, 1 configuration error, 2 usage/expression syntax
 error, 3 bound not supported (estimators did not converge, or ``compare``
@@ -48,11 +52,11 @@ from .geometry import (
     AreaFunction,
     PolarMetric2D,
     RadialGrid,
-    RiemannianModel,
     _eval_on,
     _interior_curvature,
     _spread,
     area_from_polar_metric,
+    area_from_warping,
     area_of,
     bumped_disc_metric,
     euclidean_model,
@@ -202,14 +206,15 @@ def _expression_fn(source: str, variables: tuple[str, ...], radius: float, kappa
     return fn
 
 
-def build_target(cfg: ModelConfig) -> RiemannianModel | PolarMetric2D | AreaFunction:
-    """Materialize the geometry object of a validated config: a model, a 2-D metric or an area."""
+def build_target(cfg: ModelConfig) -> AreaFunction | PolarMetric2D:
+    """Materialize the geometry object of a validated config: a 2-D metric, or the
+    area function of a radial model (a builtin, a warping or an area)."""
     kappa = cfg.kappa if cfg.kappa is not None else 0.0
     if cfg.kind != "builtin":
         field, variables = KINDS[cfg.kind]
         fn = _expression_fn(getattr(cfg, field), variables, cfg.radius, kappa)
         if cfg.kind == "warping":
-            return RiemannianModel(cfg.dimension, cfg.radius, fn)
+            return area_from_warping(cfg.dimension, cfg.radius, fn)
         if cfg.kind == "area":
             return AreaFunction(dimension=cfg.dimension, radius=cfg.radius, eval=fn)
         return PolarMetric2D(radius=cfg.radius, density=fn)
@@ -301,10 +306,7 @@ def cmd_oracle(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
                 "oracle_richardson": report["oracle"]["richardson"],
             }
         else:
-            grid = RadialGrid(cfg.radius, args.grid)
-            if isinstance(target, AreaFunction):
-                target = RiemannianModel(target.dimension, target.radius, warping_from_area(target))
-            result = shoot_radial_lambda1(target, grid, args.tol)
+            result = shoot_radial_lambda1(target, RadialGrid(cfg.radius, args.grid), args.tol)
             report["oracle"] = {
                 "lambda1": result.lambda1,
                 "richardson": None,

@@ -15,7 +15,6 @@ from .geometry import (
     AreaFunction,
     PolarMetric2D,
     RadialGrid,
-    RiemannianModel,
     _eval_on,
     _interior_curvature,
     _spread,
@@ -100,17 +99,6 @@ def monotonicity_check(
     return ok, profile
 
 
-def _as_target(target, grid: RadialGrid, m_theta: int):
-    """Normalize a model / 2-D metric / area function to (n, area, radiality)."""
-    area = area_of(target, grid, m_theta)  # a metric's area checks the grid radius
-    if abs(area.radius - grid.radius) > 1e-12 * grid.radius:
-        kind = "model" if isinstance(target, RiemannianModel) else "area"
-        raise DomainError(f"grid radius must match the {kind} radius")
-    if isinstance(target, PolarMetric2D):
-        return 2, area, radiality_deviation(target, grid, m_theta)
-    return area.dimension, area, 0.0
-
-
 def _reference_warping(reference, radius: float):
     if callable(reference):
         return reference
@@ -127,7 +115,8 @@ def cheng_report(
     k_max: int = 200,
     model_id: str = "model",
 ) -> ComparisonReport:
-    """Compare the symmetrization bound of ``target`` against a reference model.
+    """Compare the symmetrization bound of ``target``, an area function or a
+    2-D metric, against a reference model.
 
     ``kappa`` is either a space-form curvature or the warping callable of a
     general reference model.  The verdict is ``hypothesis-fails`` when the
@@ -138,14 +127,18 @@ def cheng_report(
     ``bound-holds`` otherwise.  ``converged`` is false when the hierarchy
     ran out of ``k_max`` levels, so ``bound`` is unsupported.
     """
-    n, area_g, deviation = _as_target(target, grid, m_theta)
-    ref_model = RiemannianModel(n, grid.radius, _reference_warping(kappa, grid.radius))
-    area_ref = area_from_warping(ref_model)
+    area_g = area_of(target, grid, m_theta)
+    deviation = 0.0
+    if isinstance(target, PolarMetric2D):
+        deviation = radiality_deviation(target, grid, m_theta)
+    area_ref = area_from_warping(
+        area_g.dimension, grid.radius, _reference_warping(kappa, grid.radius)
+    )
 
     monotone_ok, profile = monotonicity_check(area_g, area_ref, grid)
     norm_series, _, _ = run_until_converged(area_g, grid, tol, k_max)
     bound = norm_series.final
-    reference = shoot_radial_lambda1(ref_model, grid, tol)
+    reference = shoot_radial_lambda1(area_ref, grid, tol)
     combined = 5.0 * tol * bound + tol  # estimator tail + oracle bisection width
 
     if not monotone_ok:

@@ -18,19 +18,14 @@ class DomainError(BallboundError, ValueError):
 
 
 class InvalidAreaError(BallboundError, ValueError):
-    """An area function violates A(0) = 0 or positivity on (0, R]."""
+    """An area function, a radial model's included, is not finite, violates
+    A(0) = 0 or positivity on (0, R], or breaks the smooth-metric centre law."""
 
     exit_code, label = 5, "invalid input"
 
 
 class InvalidMetricError(BallboundError, ValueError):
     """A polar metric density is non-positive, non-periodic, or otherwise unusable."""
-
-    exit_code, label = 5, "invalid input"
-
-
-class InvalidModelError(BallboundError, ValueError):
-    """A rotationally symmetric model has a degenerate warping function."""
 
     exit_code, label = 5, "invalid input"
 

@@ -1,12 +1,12 @@
-"""Rotationally symmetric models, sphere-area functions, and 2-D polar metrics.
+"""Sphere-area functions of rotationally symmetric balls, and 2-D polar metrics.
 
-The central objects are the warping function w(t) of a model metric
-dr^2 + w(r)^2 dS^2, the area function A(t) of its geodesic spheres, and the
-angular density rho(r, theta) of a general 2-D metric dr^2 + G(r, theta)
-dtheta^2 with rho = sqrt(G).  Symmetrization maps a density to the area
-function A(t) = integral of rho(t, .) and back to the warping
-w(t) = (A(t) / vol(S^{n-1}))^{1/(n-1)} of the comparison model with the same
-sphere areas.
+A rotationally symmetric model dr^2 + w(r)^2 dS^2 is held as the area
+function A(t) = vol(S^{n-1}) w(t)^{n-1} of its geodesic spheres, the one
+radial object both solvers read.  A general 2-D metric dr^2 + G(r, theta)
+dtheta^2 is held as its angular density rho = sqrt(G).  Symmetrization maps
+a density to the area function A(t) = integral of rho(t, .) and back to the
+warping w(t) = (A(t) / vol(S^{n-1}))^{1/(n-1)} of the comparison model with
+the same sphere areas.
 """
 from __future__ import annotations
 
@@ -17,13 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvalidAreaError,
-    InvalidMetricError,
-    InvalidModelError,
-    PrecisionError,
-)
+from .errors import DomainError, InvalidAreaError, InvalidMetricError, PrecisionError
 from .quadrature import _pchip
 
 # Relative radii used to spot-check positivity/limit invariants at build time.
@@ -141,46 +135,35 @@ def space_form_warping(kappa: float, radius: float) -> Callable:
     return lambda t: np.asarray(t, dtype=float) + 0.0
 
 
-def _require_finite(values: np.ndarray, t: np.ndarray, name="A(t)", error=InvalidAreaError):
-    """Raise ``error`` naming the first t where ``values`` (samples of ``name``) is not finite."""
+def _require_finite(values: np.ndarray, t: np.ndarray) -> None:
+    """Raise :class:`InvalidAreaError` naming the first t where the samples A(t) are not finite."""
     bad = ~np.isfinite(values)
     if np.any(bad):
-        raise error(f"{name} is not finite at t = {float(t[bad][0])!r}")
+        raise InvalidAreaError(f"A(t) is not finite at t = {float(t[bad][0])!r}")
 
 
-class RiemannianModel:
-    """A ball of given radius carrying the metric dr^2 + w(r)^2 dS^2, w a vectorized callable."""
+def _require_positive(values: np.ndarray, t: np.ndarray, dimension: int) -> None:
+    """The positivity rule for samples A(t) at increasing radii t in (0, R].
 
-    def __init__(self, dimension: int, radius: float, warping: Callable):
-        self.dimension = dimension
-        self.radius = radius
-        self.warping = warping
-        if self.dimension < 2:
-            raise DomainError(f"dimension must be at least 2, got {self.dimension}")
-        _check_radius(self.radius)
-        w0 = float(_eval_on(self.warping, 0.0))
-        if abs(w0) > 1e-9 * self.radius:
-            raise InvalidModelError(f"warping must vanish at 0, got w(0) = {w0}")
-        t_check = self.radius * _CHECK_FRACTIONS
-        with np.errstate(all="ignore"):
-            samples = _eval_on(self.warping, t_check)
-        _require_finite(samples, t_check, "w(t)", InvalidModelError)
-        if np.any(samples <= 0.0):
-            raise InvalidModelError("warping must be positive on (0, R]")
-        t0 = self.radius * 1e-6
-        ratio = float(_eval_on(self.warping, t0)) / t0
-        if abs(ratio - 1.0) > 1e-6:
-            raise InvalidModelError(
-                f"w(t)/t -> {ratio} near 0, expected 1 (metric smooth at the center)"
-            )
+    A must be positive there; a leading run of exact zeros followed only by
+    positive values is A = vol w^(n-1) underflowing next to the center.
+    """
+    nonpositive = values <= 0.0
+    if np.any(nonpositive):
+        lead = int(np.argmin(nonpositive))  # index of the first positive sample, 0 if none
+        if 0 < lead and not np.any(nonpositive[lead:]) and np.all(values[:lead] == 0.0):
+            raise PrecisionError(f"A(t) underflows to 0 at t = {t[0]:g} in dimension {dimension}")
+        raise InvalidAreaError("A must be positive on (0, R]")
 
 
 class AreaFunction:
     """Evaluator for the geodesic-sphere area A(t) of an n-dimensional ball.
 
     ``samples`` are the (nodes, values) an interpolated area was built from.
-    A centre behaviour off the smooth-metric law is an error for a closed
-    form and a warning for samples, which a coarse grid may not resolve.
+    The smooth-metric centre law, A(t) / (vol(S^(n-1)) t^(n-1)) within 5% of
+    1 at t = 1e-4 R (the first sample node for samples), holds for every
+    area, a model's too: off it is an error for a closed form and a warning
+    for samples, which a coarse grid may not resolve.
     """
 
     def __init__(
@@ -204,14 +187,7 @@ class AreaFunction:
         a0 = float(_eval_on(self.eval, 0.0))
         if abs(a0) > 1e-9 * max(1.0, float(np.max(np.abs(probe)))):
             raise InvalidAreaError(f"A(0) must vanish, got {a0}")
-        nonpositive = probe <= 0.0
-        if np.any(nonpositive):
-            lead = int(np.argmin(nonpositive))  # index of the first positive probe, 0 if none
-            if 0 < lead and not np.any(nonpositive[lead:]) and np.all(probe[:lead] == 0.0):
-                raise PrecisionError(
-                    f"A(t) underflows to 0 at t = {t_probe[0]:g} in dimension {self.dimension}"
-                )
-            raise InvalidAreaError("A must be positive on (0, R]")
+        _require_positive(probe, t_probe, self.dimension)
         t1 = float(self.samples[0][1]) if self.samples is not None else self.radius * 1e-4
         # in high dimensions t1^(n-1) can overflow or underflow: the ratio is then 0 or inf
         with np.errstate(all="ignore"):
@@ -227,6 +203,18 @@ class AreaFunction:
             if self.samples is None:
                 raise InvalidAreaError(msg)
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
+
+
+def _area_samples(area: AreaFunction, grid: RadialGrid, t: np.ndarray) -> np.ndarray:
+    """A at increasing radii t in (0, R] of ``grid``, finite and positive, for a solver
+    that divides by them; ``grid`` must span the area's ball."""
+    if abs(grid.radius - area.radius) > 1e-12 * area.radius:
+        raise DomainError("grid radius must match the area radius")
+    with np.errstate(all="ignore"):
+        values = _eval_on(area.eval, t)
+    _require_finite(values, t)
+    _require_positive(values, t, area.dimension)
+    return values
 
 
 class PolarMetric2D:
@@ -275,16 +263,15 @@ def _fd_density_r(density: Callable, radius: float) -> Callable:
     return deriv
 
 
-def area_from_warping(model: RiemannianModel) -> AreaFunction:
-    """Sphere area of a model: A(t) = vol(S^(n-1)) w(t)^(n-1)."""
-    n = model.dimension
+def area_from_warping(dimension: int, radius: float, warping: Callable) -> AreaFunction:
+    """Sphere area of the model dr^2 + w(r)^2 dS^2: A(t) = vol(S^(n-1)) w(t)^(n-1)."""
+    n = dimension
     vol = unit_sphere_volume(n)
-    w = model.warping
 
     def evaluate(t):
-        return vol * _eval_on(w, t) ** (n - 1)
+        return vol * _eval_on(warping, t) ** (n - 1)
 
-    return AreaFunction(dimension=n, radius=model.radius, eval=evaluate)
+    return AreaFunction(dimension=n, radius=radius, eval=evaluate)
 
 
 def warping_from_area(area: AreaFunction) -> Callable:
@@ -344,15 +331,12 @@ def area_from_polar_metric(
 
 
 def area_of(target, grid: RadialGrid, m_theta: int) -> AreaFunction:
-    """Sphere-area function of a model, of a 2-D metric, or an area function as it is.
+    """Sphere-area function of a 2-D metric, or an area function as it is.
 
-    A metric is symmetrized on ``grid`` with ``m_theta`` angles; a model's
-    area follows from its warping.
+    A metric is symmetrized on ``grid`` with ``m_theta`` angles.
     """
     if isinstance(target, PolarMetric2D):
         return area_from_polar_metric(target, grid, m_theta)
-    if isinstance(target, RiemannianModel):
-        return area_from_warping(target)
     if isinstance(target, AreaFunction):
         return target
     raise DomainError(f"no sphere-area function for a {type(target).__name__}")
@@ -402,12 +386,12 @@ def polar_metric_from_warping(warping: Callable, radius: float) -> PolarMetric2D
     return PolarMetric2D(radius=radius, density=lambda r, theta: warping(r))
 
 
-def euclidean_model(dimension: int, radius: float) -> RiemannianModel:
-    return RiemannianModel(dimension, radius, space_form_warping(0.0, radius))
+def euclidean_model(dimension: int, radius: float) -> AreaFunction:
+    return area_from_warping(dimension, radius, space_form_warping(0.0, radius))
 
 
-def space_form_model(dimension: int, kappa: float, radius: float) -> RiemannianModel:
-    return RiemannianModel(dimension, radius, space_form_warping(kappa, radius))
+def space_form_model(dimension: int, kappa: float, radius: float) -> AreaFunction:
+    return area_from_warping(dimension, radius, space_form_warping(kappa, radius))
 
 
 def _bump(t):

@@ -25,14 +25,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidAreaError, PrecisionError
-from .geometry import AreaFunction, RadialGrid, _eigenvalue_scale, _eval_on
+from .errors import DomainError, PrecisionError
+from .geometry import AreaFunction, RadialGrid, _area_samples, _eigenvalue_scale
 
 NORM_RATIO = "norm-ratio"
 CENTER_RATIO = "center-ratio"
 MASS_RATIO = "mass-ratio"
-
-_MIN_INTERVALS = 16
 
 
 class MomentTable(NamedTuple):
@@ -61,18 +59,6 @@ class EstimateSeries(NamedTuple):
     rate: float | None = None
 
 
-def _area_values(area: AreaFunction, grid: RadialGrid) -> np.ndarray:
-    a = _eval_on(area.eval, grid.nodes)
-    scale = float(np.max(np.abs(a)))
-    if abs(a[0]) > 1e-9 * scale:
-        raise InvalidAreaError(f"A(0) must vanish, got {a[0]}")
-    if np.any(a[1:] <= 0.0):
-        raise InvalidAreaError("area must be positive at every node of (0, R]")
-    a = a.copy()
-    a[0] = 0.0
-    return a
-
-
 def _hierarchy(area: AreaFunction, grid: RadialGrid):
     """Yield (level, center, mass, norm2) for k = 0, 1, 2, ...
 
@@ -82,9 +68,7 @@ def _hierarchy(area: AreaFunction, grid: RadialGrid):
     computed only when it is asked for.  The consumers run it under
     ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    if grid.intervals < _MIN_INTERVALS:
-        raise DomainError(f"moment grids need at least {_MIN_INTERVALS} intervals")
-    a = _area_values(area, grid)
+    a = np.concatenate([[0.0], _area_samples(area, grid, grid.nodes[1:])])
     w = grid.weights
     level, center = np.ones_like(a), 1.0
     mass = float(w @ (level * a))

@@ -2,8 +2,9 @@
 
 Two routes to the first Dirichlet eigenvalue:
 
-* a radial shooting solver for rotationally symmetric models, integrating the
-  self-adjoint system (f, A f')' with a fixed-step RK4 sweep, bracketing by
+* a radial shooting solver for rotationally symmetric balls, given by their
+  sphere-area function A(t): it integrates the self-adjoint problem
+  (A f')' + lambda A f = 0 with a fixed-step RK4 sweep, bracketing by
   the zero count of f (Pryce 1993) and finding the root of f(R) by regula
   falsi (Anderson-Bjorck 1973, with Brent's minimum step);
 * a finite-volume discretization of the Laplace-Beltrami operator of a 2-D
@@ -20,21 +21,14 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    InvalidModelError,
-    PrecisionError,
-)
+from .errors import BracketError, ConvergenceError, DomainError, PrecisionError
 from .geometry import (
+    AreaFunction,
     PolarMetric2D,
     RadialGrid,
-    RiemannianModel,
+    _area_samples,
     _eigenvalue_scale,
     _eval_on,
-    _require_finite,
-    unit_sphere_volume,
 )
 from .quadrature import richardson_estimate, richardson_extrapolate
 
@@ -68,42 +62,23 @@ class Mesh2D:
         return Mesh2D(2 * self.n_radial, 2 * self.n_angular)
 
 
-def _model_area_arrays(model: RiemannianModel, nodes: np.ndarray, h: float):
-    """A(t) at the grid nodes and at step midpoints (float lists), positive and finite."""
-    n = model.dimension
-    vol = unit_sphere_volume(n)
-    mids = nodes[:-1] + 0.5 * h
-    w_nodes = _eval_on(model.warping, nodes)
-    w_mid = _eval_on(model.warping, mids)
-    if np.any(w_nodes[1:] <= 0.0) or np.any(w_mid[1:] <= 0.0):
-        raise InvalidModelError("warping must stay positive inside the ball")
-    with np.errstate(all="ignore"):
-        a_nodes = vol * w_nodes ** (n - 1)
-        a_mid = vol * w_mid ** (n - 1)
-    _require_finite(a_nodes, nodes)
-    _require_finite(a_mid, mids)
-    zero = np.concatenate([nodes[1:][a_nodes[1:] == 0.0], mids[1:][a_mid[1:] == 0.0]])
-    if zero.size:
-        raise PrecisionError(f"A(t) underflows to 0 at t = {zero.min():g} in dimension {n}")
-    return a_nodes.tolist(), a_mid.tolist()
-
-
 def _sweep(lam: float, n: int, h: float, a_nodes: list, a_mid: list, keep_path: bool = False):
     """RK4 sweep of f' = g/A, g' = -lam A f on plain floats.
 
-    Starts from the series f = 1 - lam t^2/(2n) at the first node (A(0) = 0).
-    Returns f(R), the number of sign changes of f over the nodes of (0, R],
-    and the path f(t_i) when ``keep_path`` is set.
+    ``a_nodes`` holds A at the nodes of (0, R] and ``a_mid`` at the midpoints
+    between them.  Starts from the series f = 1 - lam t^2/(2n) at the first
+    node (A(0) = 0).  Returns f(R), the number of sign changes of f over the
+    nodes of (0, R], and the path f(t_i) when ``keep_path`` is set.
     """
     f = 1.0 - lam * h * h / (2.0 * n)
-    g = a_nodes[1] * (-lam * h / n)
+    g = a_nodes[0] * (-lam * h / n)
     positive = f > 0.0
     changes = 0 if positive else 1
     path = [1.0, f] if keep_path else None
     sixth = h / 6.0
     half = 0.5 * h
     neg = -lam
-    for a0, am, a1 in zip(a_nodes[1:-1], a_mid[1:], a_nodes[2:]):
+    for a0, am, a1 in zip(a_nodes[:-1], a_mid, a_nodes[1:]):
         k1f = g / a0
         k1g = neg * a0 * f
         neg_am = neg * am
@@ -130,9 +105,10 @@ def _anderson_bjorck(f_new: float, f_old: float) -> float:
 
 
 def shoot_radial_lambda1(
-    model: RiemannianModel, grid: RadialGrid, tol: float = 1e-10
+    area: AreaFunction, grid: RadialGrid, tol: float = 1e-10
 ) -> EigenResult:
-    """First Dirichlet eigenvalue of a model by shooting from f(0) = 1, f'(0) = 0.
+    """First Dirichlet eigenvalue of the ball with sphere areas ``area`` by
+    shooting from f(0) = 1, f'(0) = 0 on ``grid``, which spans that ball.
 
     By Sturm oscillation a sweep has no zero in (0, R] below lambda1 and one
     on [lambda1, lambda2): from a = 0 and a Euclidean scale guess b, b doubles
@@ -145,10 +121,12 @@ def shoot_radial_lambda1(
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     h = grid.spacing
-    a_nodes, a_mid = _model_area_arrays(model, grid.nodes, h)
-    n = model.dimension
+    nodes = grid.nodes[1:]
+    a_nodes = _area_samples(area, grid, nodes).tolist()
+    a_mid = _area_samples(area, grid, nodes[:-1] + 0.5 * h).tolist()
+    n = area.dimension
 
-    b = _eigenvalue_scale(n, model.radius)
+    b = _eigenvalue_scale(n, grid.radius)
     a, fa, above = 0.0, 1.0, math.inf  # f = 1 on the whole ball at lambda = 0
     for iterations in range(1, _MAX_BRACKET_SWEEPS + 1):
         fb, changes, _ = _sweep(b, n, h, a_nodes, a_mid)

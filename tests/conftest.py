@@ -14,13 +14,12 @@ from scipy.sparse.linalg import splu
 from scipy.special import jn_zeros
 
 from ballbound import (
+    AreaFunction,
     Mesh2D,
     PolarMetric2D,
     RadialGrid,
-    RiemannianModel,
     area_from_polar_metric,
     bumped_disc_metric,
-    euclidean_model,
     polar_metric_from_warping,
     space_form_model,
     space_form_warping,
@@ -67,15 +66,25 @@ def fine_unit_grid():
     return RadialGrid(1.0, 4096)
 
 
-def model_suite() -> list[tuple[str, RiemannianModel]]:
-    """Rotationally symmetric models with well-understood spectra."""
-    return [
-        ("euclidean-n2", euclidean_model(2, 1.0)),
-        ("euclidean-n3", euclidean_model(3, 1.0)),
-        ("hyperbolic-n2-R2", space_form_model(2, -1.0, 2.0)),
-        ("hemisphere", RiemannianModel(2, math.pi / 2, space_form_warping(1.0, math.pi / 2))),
-        ("hyperbolic-n3", space_form_model(3, -0.5, 1.5)),
-    ]
+# label -> (dimension, kappa, radius) of the space-form balls in model_suite()
+MODEL_SUITE = {
+    "euclidean-n2": (2, 0.0, 1.0),
+    "euclidean-n3": (3, 0.0, 1.0),
+    "hyperbolic-n2-R2": (2, -1.0, 2.0),
+    "hemisphere": (2, 1.0, math.pi / 2),
+    "hyperbolic-n3": (3, -0.5, 1.5),
+}
+
+
+def model_suite() -> list[tuple[str, AreaFunction]]:
+    """Areas of rotationally symmetric models with well-understood spectra."""
+    return [(label, space_form_model(*spec)) for label, spec in MODEL_SUITE.items()]
+
+
+def suite_warping(label: str):
+    """The space-form warping of the model_suite() ball ``label``."""
+    _, kappa, radius = MODEL_SUITE[label]
+    return space_form_warping(kappa, radius)
 
 
 def wavy_cone_metric(radius: float) -> PolarMetric2D:

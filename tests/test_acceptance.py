@@ -13,7 +13,6 @@ from ballbound import (
     BOUND_HOLDS,
     Mesh2D,
     RadialGrid,
-    RiemannianModel,
     area_from_polar_metric,
     area_from_warping,
     bumped_disc_metric,
@@ -41,6 +40,7 @@ from conftest import (
     model_suite,
     operator_defects,
     random_expression,
+    suite_warping,
 )
 
 
@@ -53,7 +53,7 @@ def _report(number: int, description: str, checks: list[tuple[bool, str]]):
 
 def test_criterion_1_euclidean_disc_estimators():
     grid = RadialGrid(1.0, 4096)
-    area = area_from_warping(euclidean_model(2, 1.0))
+    area = euclidean_model(2, 1.0)
     start = time.perf_counter()
     norm, center, mass = run_until_converged(area, grid, 1e-6, 200)
     elapsed = time.perf_counter() - start
@@ -76,7 +76,7 @@ def test_criterion_2_dilation():
     bounds = {}
     for radius in (1.0, 2.0):
         grid = RadialGrid(radius, 4096)
-        area = area_from_warping(euclidean_model(2, radius))
+        area = euclidean_model(2, radius)
         bounds[radius], _, _ = run_until_converged(area, grid, 1e-8, 200)
     b1, b2 = bounds[1.0].final, bounds[2.0].final
     rel = abs(b2 - b1 / 4.0) / b2
@@ -91,7 +91,7 @@ def test_criterion_3_euclidean_three_ball():
     grid = RadialGrid(1.0, 2048)
     model = euclidean_model(3, 1.0)
     oracle = shoot_radial_lambda1(model, grid, 1e-10)
-    norm, center, mass = run_until_converged(area_from_warping(model), grid, 1e-8, 200)
+    norm, center, mass = run_until_converged(model, grid, 1e-8, 200)
     checks = [
         (abs(oracle.lambda1 - PI_SQUARED) <= 1e-4, f"oracle {oracle.lambda1} vs pi^2"),
         *[
@@ -108,9 +108,9 @@ def test_criterion_3_euclidean_three_ball():
 def test_criterion_4_hemisphere():
     radius = math.pi / 2
     grid = RadialGrid(radius, 2048)
-    model = RiemannianModel(2, radius, space_form_warping(1.0, radius))
+    model = area_from_warping(2, radius, space_form_warping(1.0, radius))
     oracle = shoot_radial_lambda1(model, grid, 1e-10)
-    norm, center, mass = run_until_converged(area_from_warping(model), grid, 1e-8, 200)
+    norm, center, mass = run_until_converged(model, grid, 1e-8, 200)
     checks = [
         (abs(oracle.lambda1 - 2.0) <= 1e-4, f"oracle {oracle.lambda1} vs 2.0"),
         *[
@@ -130,10 +130,10 @@ def test_criterion_5_hyperbolic_ball_and_cheng():
     hyperbolic = space_form_model(2, -1.0, radius)
     oracle = shoot_radial_lambda1(hyperbolic, grid, 1e-10)
     norm, center, mass = run_until_converged(
-        area_from_warping(hyperbolic), grid, 1e-8, 200
+        hyperbolic, grid, 1e-8, 200
     )
-    flat_area = area_from_warping(euclidean_model(2, radius))
-    monotone_ok, _ = monotonicity_check(flat_area, area_from_warping(hyperbolic), grid)
+    flat_area = euclidean_model(2, radius)
+    monotone_ok, _ = monotonicity_check(flat_area, hyperbolic, grid)
     report = cheng_report(euclidean_model(2, radius), -1.0, grid, 1e-8)
     checks = [
         *[
@@ -183,7 +183,7 @@ def test_criterion_7_strict_inequality_at_radius_three():
 
 def test_criterion_8_symbolic_moment_oracle():
     grid = RadialGrid(1.0, 4096)
-    area = area_from_warping(euclidean_model(2, 1.0))
+    area = euclidean_model(2, 1.0)
     table = compute_moments(area, grid, 2)
     t = grid.nodes
     level1 = math.exp(table.log_scale[1]) * table.levels[1]
@@ -205,7 +205,7 @@ def test_criterion_9_property_suites():
     shape_ok = True
     for label, model in model_suite():
         grid = RadialGrid(model.radius, 128)
-        table = compute_moments(area_from_warping(model), grid, 5)
+        table = compute_moments(model, grid, 5)
         for k in range(1, 6):
             level = table.levels[k]
             if not (
@@ -220,9 +220,9 @@ def test_criterion_9_property_suites():
     round_ok = True
     for label, model in model_suite():
         grid = RadialGrid(model.radius, 256)
-        back = warping_from_area(area_from_warping(model))
+        back = warping_from_area(model)
         t = grid.nodes[1:]
-        expect = _eval_on(model.warping, t)
+        expect = _eval_on(suite_warping(label), t)
         if np.max(np.abs(_eval_on(back, t) - expect) / expect) >= 1e-12:
             round_ok = False
     checks.append((round_ok, "warping/area round trip at 1e-12"))

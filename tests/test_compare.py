@@ -10,7 +10,6 @@ from ballbound import (
     HYPOTHESIS_FAILS,
     Mesh2D,
     RadialGrid,
-    area_from_warping,
     bumped_disc_metric,
     cheng_report,
     eigen_2d_refined,
@@ -18,6 +17,8 @@ from ballbound import (
     euclidean_model,
     monotonicity_check,
     polar_metric_from_warping,
+    run_until_converged,
+    shoot_radial_lambda1,
     space_form_model,
     space_form_warping,
 )
@@ -29,8 +30,8 @@ from conftest import J0_SQUARED, counting_metric, metric_suite, wavy_cone_metric
 
 class TestMonotonicityCheck:
     def test_flat_over_hyperbolic_decreases(self, unit_grid):
-        flat = area_from_warping(euclidean_model(2, 1.0))
-        hyper = area_from_warping(space_form_model(2, -1.0, 1.0))
+        flat = euclidean_model(2, 1.0)
+        hyper = space_form_model(2, -1.0, 1.0)
         ok, profile = monotonicity_check(flat, hyper, unit_grid)
         assert ok
         assert profile[0] == 1.0
@@ -38,22 +39,22 @@ class TestMonotonicityCheck:
         assert np.all(np.diff(profile) <= 0.0)
 
     def test_identical_areas_count_as_decreasing(self, unit_grid):
-        flat = area_from_warping(euclidean_model(2, 1.0))
+        flat = euclidean_model(2, 1.0)
         ok, profile = monotonicity_check(flat, flat, unit_grid)
         assert ok
         assert np.max(np.abs(profile - 1.0)) < 1e-14
 
     def test_hyperbolic_over_flat_increases(self, unit_grid):
-        flat = area_from_warping(euclidean_model(2, 1.0))
-        hyper = area_from_warping(space_form_model(2, -1.0, 1.0))
+        flat = euclidean_model(2, 1.0)
+        hyper = space_form_model(2, -1.0, 1.0)
         ok, _ = monotonicity_check(hyper, flat, unit_grid)
         assert not ok
 
     @pytest.mark.parametrize("pair", [(-1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)])
     def test_antisymmetry_between_space_forms(self, pair, unit_grid):
         lo_kappa, hi_kappa = pair
-        lo = area_from_warping(space_form_model(2, lo_kappa, 1.0) if lo_kappa else euclidean_model(2, 1.0))
-        hi = area_from_warping(space_form_model(2, hi_kappa, 1.0) if hi_kappa else euclidean_model(2, 1.0))
+        lo = space_form_model(2, lo_kappa, 1.0) if lo_kappa else euclidean_model(2, 1.0)
+        hi = space_form_model(2, hi_kappa, 1.0) if hi_kappa else euclidean_model(2, 1.0)
         down, _ = monotonicity_check(hi, lo, unit_grid)
         up, _ = monotonicity_check(lo, hi, unit_grid)
         assert down and not up
@@ -61,7 +62,7 @@ class TestMonotonicityCheck:
     def test_zero_reference_rejected(self, unit_grid):
         from ballbound import AreaFunction
 
-        flat = area_from_warping(euclidean_model(2, 1.0))
+        flat = euclidean_model(2, 1.0)
 
         # positive at the construction probes but zero on a band of grid nodes
         def dented(t):
@@ -152,6 +153,23 @@ class TestChengReport:
                         report.bound
                         <= report.reference_lambda + report.combined_tolerance
                     ), (label, kappa)
+
+
+class TestGridRadius:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            run_until_converged,
+            shoot_radial_lambda1,
+            lambda area, grid: cheng_report(area, 0.0, grid),
+        ],
+        ids=["hierarchy", "shooting", "cheng-report"],
+    )
+    def test_grid_of_another_radius_is_rejected(self, solve):
+        # both radial solvers used to return pi^2/4 - 1 here, the eigenvalue of
+        # the radius-2 ball, for the unit ball of curvature 1
+        with pytest.raises(DomainError, match="grid radius must match the area radius"):
+            solve(space_form_model(3, 1.0, 1.0), RadialGrid(2.0, 512))
 
 
 class TestEqualityCriterion:

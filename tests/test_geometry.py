@@ -7,7 +7,6 @@ from ballbound import (
     AreaFunction,
     PolarMetric2D,
     RadialGrid,
-    RiemannianModel,
     area_from_polar_metric,
     area_from_warping,
     bumped_disc_metric,
@@ -24,12 +23,17 @@ from ballbound.errors import (
     DomainError,
     InvalidAreaError,
     InvalidMetricError,
-    InvalidModelError,
     PrecisionError,
 )
 from ballbound.geometry import _eval_on, area_of
 
-from conftest import bump_curvature_oracle, counting_metric, model_suite, wavy_cone_metric
+from conftest import (
+    bump_curvature_oracle,
+    counting_metric,
+    model_suite,
+    suite_warping,
+    wavy_cone_metric,
+)
 
 
 class TestEvaluationContract:
@@ -88,11 +92,9 @@ class TestUnitSphereVolume:
 class TestAreaOf:
     def test_each_target_kind(self):
         grid = RadialGrid(1.0, 64)
-        model = euclidean_model(3, 1.0)
         metric = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
         area = AreaFunction(dimension=2, radius=1.0, eval=lambda t: 2.0 * math.pi * t)
         t = grid.nodes
-        assert np.allclose(area_of(model, grid, 16).eval(t), 4.0 * math.pi * t**2)
         assert np.allclose(area_of(metric, grid, 16).eval(t), 2.0 * math.pi * t)
         assert area_of(area, grid, 16) is area
 
@@ -124,18 +126,17 @@ class TestSpaceFormWarping:
 
 class TestAreaFromWarping:
     def test_euclidean_circle_length(self):
-        area = area_from_warping(euclidean_model(2, 1.0))
+        area = euclidean_model(2, 1.0)
         t = np.linspace(0.0, 1.0, 9)
         assert np.allclose(_eval_on(area.eval, t), 2.0 * math.pi * t, rtol=1e-15)
 
     def test_hyperbolic_sphere_area(self):
-        area = area_from_warping(space_form_model(3, -1.0, 2.0))
+        area = space_form_model(3, -1.0, 2.0)
         # 4 pi sinh(1)^2, direct evaluation cross-checked by hand
         assert float(_eval_on(area.eval, 1.0)) == pytest.approx(17.355387381771433, rel=1e-12)
 
     def test_hemisphere_equator(self):
-        model = RiemannianModel(2, math.pi / 2, space_form_warping(1.0, math.pi / 2))
-        area = area_from_warping(model)
+        area = area_from_warping(2, math.pi / 2, space_form_warping(1.0, math.pi / 2))
         assert float(_eval_on(area.eval, math.pi / 2)) == pytest.approx(2.0 * math.pi, rel=1e-15)
 
 
@@ -143,10 +144,9 @@ class TestWarpingAreaRoundTrip:
     @pytest.mark.parametrize("label,model", model_suite())
     def test_round_trip_on_grid(self, label, model):
         grid = RadialGrid(model.radius, 256)
-        area = area_from_warping(model)
-        back = warping_from_area(area)
+        back = warping_from_area(model)
         t = grid.nodes[1:]
-        expect = _eval_on(model.warping, t)
+        expect = _eval_on(suite_warping(label), t)
         got = _eval_on(back, t)
         assert np.max(np.abs(got - expect) / expect) < 1e-12
 
@@ -305,10 +305,9 @@ class TestSmallRadiusLaw:
     @pytest.mark.parametrize("label,model", model_suite())
     def test_leading_area_coefficient(self, label, model):
         grid = RadialGrid(model.radius, 2048)
-        area = area_from_warping(model)
         t1 = grid.nodes[1]
         assert t1 <= model.radius / 1000.0
-        ratio = float(_eval_on(area.eval, t1)) / (
+        ratio = float(_eval_on(model.eval, t1)) / (
             unit_sphere_volume(model.dimension) * t1 ** (model.dimension - 1)
         )
         assert abs(ratio - 1.0) < 0.05
@@ -351,8 +350,9 @@ class TestValidation:
             AreaFunction(dimension=2, radius=1.0, eval=lambda t: 6.0 * math.pi * np.asarray(t))
 
     def test_cone_warping_rejected(self):
-        with pytest.raises(InvalidModelError, match=r"w\(t\)/t -> 2"):
-            RiemannianModel(2, 1.0, lambda t: 2.0 * np.asarray(t, dtype=float))
+        # a model is held to its area's centre law: A(t)/t^(n-1) -> 2 vol(S^1)
+        with pytest.raises(InvalidAreaError, match=r"A\(t\)/t\^\(n-1\) -> 2"):
+            area_from_warping(2, 1.0, lambda t: 2.0 * np.asarray(t, dtype=float))
 
     def test_nonpositive_density_rejected(self):
         with pytest.raises(InvalidMetricError):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from scipy.special import j0, jn_zeros
 
 from ballbound import (
+    AreaFunction,
     Mesh2D,
     PolarMetric2D,
     RadialGrid,
-    RiemannianModel,
     bumped_disc_metric,
     eigen_2d_polar,
     eigen_2d_refined,
@@ -25,7 +25,7 @@ from ballbound import (
     area_from_warping,
 )
 from ballbound import oracle
-from ballbound.errors import ConvergenceError, DomainError
+from ballbound.errors import ConvergenceError, DomainError, InvalidAreaError, PrecisionError
 from ballbound.geometry import _bump
 
 from conftest import (
@@ -59,7 +59,7 @@ class TestRadialShooting:
     def test_hemisphere(self):
         radius = math.pi / 2
         grid = RadialGrid(radius, 1024)
-        model = RiemannianModel(2, radius, space_form_warping(1.0, radius))
+        model = area_from_warping(2, radius, space_form_warping(1.0, radius))
         res = shoot_radial_lambda1(model, grid, 1e-10)
         # residual of f = cos t in the radial equation with w = sin t is zero
         assert res.lambda1 == pytest.approx(2.0, abs=1e-8)
@@ -141,6 +141,25 @@ class TestRadialShooting:
         else:
             lam = report["comparison"]["reference_lambda"]
         assert lam == pytest.approx(J0_SQUARED / 1e-8, rel=1e-9)
+
+    def test_zero_area_at_a_step_midpoint(self, unit_grid):
+        # the area's probes pass, but the sweep divides by A at every node and
+        # midpoint, so it checks its own samples: a zero at the first
+        # midpoint reads as an underflow, one further out as a bad area
+        h = unit_grid.spacing
+
+        def area_zero_at(t0):
+            def evaluate(t):
+                arr = np.asarray(t, dtype=float)
+                return np.where(arr == t0, 0.0, 2.0 * math.pi * arr)
+
+            return AreaFunction(dimension=2, radius=1.0, eval=evaluate)
+
+        first_mid = unit_grid.nodes[1] + 0.5 * h
+        with pytest.raises(PrecisionError, match=f"A\\(t\\) underflows to 0 at t = {first_mid:g}"):
+            shoot_radial_lambda1(area_zero_at(first_mid), unit_grid, 1e-10)
+        with pytest.raises(InvalidAreaError, match="A must be positive on"):
+            shoot_radial_lambda1(area_zero_at(unit_grid.nodes[200] + 0.5 * h), unit_grid, 1e-10)
 
     def test_scaling_with_radius(self):
         grid1 = RadialGrid(1.0, 512)
@@ -264,6 +283,6 @@ class TestRayleighQuotient:
         model = euclidean_model(2, radius)
         profile = shoot_radial_lambda1(model, grid, 1e-10).eigenfunction
         quotient = reference_rayleigh_quotient(bumped_disc_metric(radius), grid, profile, 128)
-        norm, _, _ = run_until_converged(area_from_warping(model), grid, 1e-10, 200)
+        norm, _, _ = run_until_converged(model, grid, 1e-10, 200)
         assert quotient == pytest.approx(norm.final, rel=1e-5)
 

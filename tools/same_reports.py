@@ -57,7 +57,8 @@ ERROR_PATHS = [
     ("paper-example model flags",
      ["paper-example", "--dimension", "3", "--kappa", "5", "--builtin", "euclidean"], None),
     ("builtin curvature", ["bound", "--builtin", "euclidean(2)"], None),
-    ("moment grid 8", ["bound", "--builtin", "euclidean", "--grid", "8"], None),
+    ("cone warping oracle", ["oracle", "--config", "{config}"],
+     {"kind": "warping", "omega": "2*t"}),
 ]
 
 WAVY = {"kind": "polar2d", "rho": "sinh(r)*(1+0.2*sin(2*theta))", "radius": 2}
@@ -66,6 +67,9 @@ WAVY = {"kind": "polar2d", "rho": "sinh(r)*(1+0.2*sin(2*theta))", "radius": 2}
 # other grids and the last node of a curved area
 SUCCESS_PATHS = [
     ("bound grid 16", ["bound", "--builtin", "euclidean", "--grid", "16"], None),
+    ("moment grid 8", ["bound", "--builtin", "euclidean", "--grid", "8"], None),
+    ("curved-centre area oracle", ["oracle", "--config", "{config}", "--grid", "256"],
+     {"kind": "area", "area": "2*pi*t*(1+10*t)"}),
     ("spherical grid 16384",
      ["bound", "--builtin", "spherical", "--dimension", "3", "--radius", "3.1",
       "--grid", "16384"], None),
