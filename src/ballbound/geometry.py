@@ -264,12 +264,17 @@ def _fd_density_r(density: Callable, radius: float) -> Callable:
 
 
 def area_from_warping(dimension: int, radius: float, warping: Callable) -> AreaFunction:
-    """Sphere area of the model dr^2 + w(r)^2 dS^2: A(t) = vol(S^(n-1)) w(t)^(n-1)."""
+    """Sphere area of the model dr^2 + w(r)^2 dS^2: A(t) = vol(S^(n-1)) w(t)^(n-1).
+
+    A keeps the sign of w in every dimension, so the area's positivity rule
+    rejects a warping that changes sign inside the ball.
+    """
     n = dimension
     vol = unit_sphere_volume(n)
 
     def evaluate(t):
-        return vol * _eval_on(warping, t) ** (n - 1)
+        w = _eval_on(warping, t)
+        return vol * np.copysign(np.abs(w) ** (n - 1), w)
 
     return AreaFunction(dimension=n, radius=radius, eval=evaluate)
 

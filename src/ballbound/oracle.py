@@ -121,9 +121,11 @@ def shoot_radial_lambda1(
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     h = grid.spacing
-    nodes = grid.nodes[1:]
-    a_nodes = _area_samples(area, grid, nodes).tolist()
-    a_mid = _area_samples(area, grid, nodes[:-1] + 0.5 * h).tolist()
+    # the nodes of (0, R] and the step midpoints between them, in radial order
+    t = np.repeat(grid.nodes[1:], 2)[:-1]
+    t[1::2] += 0.5 * h
+    samples = _area_samples(area, grid, t)
+    a_nodes, a_mid = samples[0::2].tolist(), samples[1::2].tolist()
     n = area.dimension
 
     b = _eigenvalue_scale(n, grid.radius)

@@ -453,6 +453,36 @@ class TestOneBallManySpellings:
             pairs = list(zip(self._values(first), self._values(report), strict=True))
             assert all(abs(v - u) <= 1e-12 * abs(u) for u, v in pairs)
 
+    # warpings whose spheres collapse inside the ball: w changes sign there, so
+    # A = vol w^(n-1) does too, in odd dimensions as in even ones
+    SIGN_CHANGING = {
+        "sin-n3-R4": {"kind": "warping", "omega": "sin(t)", "dimension": 3, "radius": 4.0},
+        "cubic-n3-R2.2": {
+            "kind": "warping", "omega": "t + kappa*t^3", "kappa": -1.0, "dimension": 3,
+            "radius": 2.2,
+        },
+    }
+
+    @pytest.mark.parametrize("command", ["bound", "oracle", "symmetrize", "compare"])
+    @pytest.mark.parametrize("ball", SIGN_CHANGING)
+    def test_warping_that_changes_sign_is_rejected(self, tmp_path, capsys, ball, command):
+        cfg = tmp_path / "w.json"
+        cfg.write_text(json.dumps(self.SIGN_CHANGING[ball]))
+        code = main([command, "--config", str(cfg), "--grid", "256"])
+        assert code == 5
+        assert capsys.readouterr().err.startswith("invalid input: A must be positive on (0, R]")
+
+    def test_reference_warping_that_changes_sign_is_rejected(self, tmp_path, capsys):
+        code = main([
+            "compare", "--builtin", "euclidean", "--dimension", "3", "--radius", "4",
+            "--ref-warping", "sin(t)", "--grid", "256",
+        ])
+        assert code == 5
+        # the reference's area is built inside the comparison stage
+        assert capsys.readouterr().err == (
+            "invalid input: stage 'compare' failed: A must be positive on (0, R]\n"
+        )
+
 
 class TestConfigContract:
     """The accepted config fields, the field each kind needs, the variables its

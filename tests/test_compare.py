@@ -23,7 +23,7 @@ from ballbound import (
     space_form_warping,
 )
 import ballbound.compare
-from ballbound.errors import DomainError
+from ballbound.errors import DomainError, InvalidAreaError
 
 from conftest import J0_SQUARED, counting_metric, metric_suite, wavy_cone_metric
 
@@ -71,7 +71,7 @@ class TestMonotonicityCheck:
             return np.where((arr > 0.28) & (arr < 0.32), 0.0, out)
 
         vanishing = AreaFunction(dimension=2, radius=1.0, eval=dented)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidAreaError, match="A must be positive on"):
             monotonicity_check(flat, vanishing, unit_grid)
 
 

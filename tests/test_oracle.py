@@ -144,22 +144,25 @@ class TestRadialShooting:
 
     def test_zero_area_at_a_step_midpoint(self, unit_grid):
         # the area's probes pass, but the sweep divides by A at every node and
-        # midpoint, so it checks its own samples: a zero at the first
-        # midpoint reads as an underflow, one further out as a bad area
+        # midpoint, so it checks its own samples in radial order: zeros from
+        # the first node on read as an underflow, a zero after a positive
+        # sample (the first midpoint's included) as a bad area
         h = unit_grid.spacing
 
-        def area_zero_at(t0):
+        def area_zero_at(*zeros):
             def evaluate(t):
                 arr = np.asarray(t, dtype=float)
-                return np.where(arr == t0, 0.0, 2.0 * math.pi * arr)
+                return np.where(np.isin(arr, zeros), 0.0, 2.0 * math.pi * arr)
 
             return AreaFunction(dimension=2, radius=1.0, eval=evaluate)
 
-        first_mid = unit_grid.nodes[1] + 0.5 * h
-        with pytest.raises(PrecisionError, match=f"A\\(t\\) underflows to 0 at t = {first_mid:g}"):
-            shoot_radial_lambda1(area_zero_at(first_mid), unit_grid, 1e-10)
-        with pytest.raises(InvalidAreaError, match="A must be positive on"):
-            shoot_radial_lambda1(area_zero_at(unit_grid.nodes[200] + 0.5 * h), unit_grid, 1e-10)
+        first_node = unit_grid.nodes[1]
+        first_mid = first_node + 0.5 * h
+        with pytest.raises(PrecisionError, match=f"A\\(t\\) underflows to 0 at t = {first_node:g}"):
+            shoot_radial_lambda1(area_zero_at(first_node, first_mid), unit_grid, 1e-10)
+        for zeros in [(first_mid,), (unit_grid.nodes[200] + 0.5 * h,)]:
+            with pytest.raises(InvalidAreaError, match="A must be positive on"):
+                shoot_radial_lambda1(area_zero_at(*zeros), unit_grid, 1e-10)
 
     def test_scaling_with_radius(self):
         grid1 = RadialGrid(1.0, 512)

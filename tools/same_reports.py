@@ -59,6 +59,8 @@ ERROR_PATHS = [
     ("builtin curvature", ["bound", "--builtin", "euclidean(2)"], None),
     ("cone warping oracle", ["oracle", "--config", "{config}"],
      {"kind": "warping", "omega": "2*t"}),
+    ("sign-changing warping n=3 bound", ["bound", "--config", "{config}"],
+     {"kind": "warping", "omega": "sin(t)", "dimension": 3, "radius": 4}),
 ]
 
 WAVY = {"kind": "polar2d", "rho": "sinh(r)*(1+0.2*sin(2*theta))", "radius": 2}
