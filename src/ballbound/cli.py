@@ -52,9 +52,8 @@ from .geometry import (
     AreaFunction,
     PolarMetric2D,
     RadialGrid,
+    _circle_curvature,
     _eval_on,
-    _interior_curvature,
-    _spread,
     area_from_polar_metric,
     area_from_warping,
     area_of,
@@ -382,9 +381,9 @@ def cmd_paper_example(args, cfg: ModelConfig, report: dict, stage: Stages) -> in
         oracle = report["oracle"] = _oracle_2d(metric, args)
 
     with stage("sharpness"):
-        curvature = _interior_curvature(metric, grid, args.theta)
+        spread, mean = _circle_curvature(metric, grid, args.theta)
         sharp = equality_criterion(
-            metric, grid, args.theta, max(args.tol, 1e-9), curvature, area
+            metric, grid, args.theta, max(args.tol, 1e-9), (spread, mean), area
         )
         gap = report["bound"] - oracle["lambda1"]
         report["comparison"] = {
@@ -392,7 +391,7 @@ def cmd_paper_example(args, cfg: ModelConfig, report: dict, stage: Stages) -> in
             "gap": gap,
             "gap_extrapolated": report["bound"] - oracle["lambda1_extrapolated"],
             "strict_inequality": bool(gap > oracle["richardson"]),
-            "radiality": _spread(curvature),
+            "radiality": float(np.max(spread)),
             "equality_criterion": bool(sharp),
         }
     report["tolerances"] = {

@@ -15,8 +15,7 @@ from .geometry import (
     PolarMetric2D,
     RadialGrid,
     _area_samples,
-    _interior_curvature,
-    _spread,
+    _circle_curvature,
     area_from_polar_metric,
     area_from_warping,
     area_of,
@@ -164,22 +163,23 @@ def equality_criterion(
     grid: RadialGrid,
     m_theta: int,
     tol: float,
-    curvature: np.ndarray | None = None,
+    curvature: tuple[np.ndarray, np.ndarray] | None = None,
     area: AreaFunction | None = None,
 ) -> bool:
     """Sharpness test for a 2-D metric.
 
     True iff the mean curvature of every interior circle is radial to within
     ``tol`` and its radial value matches w'/w = A'/A of the symmetrized metric.
-    ``curvature`` is that field on the interior nodes, when the caller already
-    has it from ``_interior_curvature``, and ``area`` the metric's
+    ``curvature`` is the per-circle angular spread and mean of H on the
+    interior nodes, when the caller already has them from
+    ``geometry._circle_curvature``, and ``area`` the metric's
     ``area_from_polar_metric`` on the same grid.
     """
-    h = _interior_curvature(metric, grid, m_theta) if curvature is None else curvature
-    if _spread(h) > tol:
+    spread, mean = _circle_curvature(metric, grid, m_theta) if curvature is None else curvature
+    if np.max(spread) > tol:
         return False
     area = area_from_polar_metric(metric, grid, m_theta) if area is None else area
     a = area.samples[1]
     target = grid.derivative(a)[1:-1] / a[1:-1]
     # A'/A = (n-1) w'/w with n = 2 against the angular mean of H on each circle
-    return not np.any(np.abs(np.mean(h, axis=1) - target) > tol)
+    return not np.any(np.abs(mean - target) > tol)

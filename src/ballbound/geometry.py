@@ -24,6 +24,9 @@ from .quadrature import _pchip
 _CHECK_FRACTIONS = np.array([1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0])
 # First Dirichlet eigenvalue of the unit disc (square of the first J0 zero).
 _UNIT_DISC_LAMBDA = 5.783185962946785
+# (radius, angle) points of a 2-D field evaluated at once: whole grid rows, at
+# least one, so that no full field is held (1024 rows at 256 angles).
+_BLOCK = 1 << 18
 
 
 def unit_sphere_volume(n: int) -> float:
@@ -302,19 +305,29 @@ def _angles(m_theta: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(m_theta) / m_theta
 
 
+def _row_blocks(t: np.ndarray, m_theta: int):
+    """Consecutive radii of ``t`` as columns of at most ``_BLOCK // m_theta`` rows, at least one."""
+    rows = max(1, _BLOCK // m_theta)
+    return (t[i : i + rows, None] for i in range(0, len(t), rows))
+
+
 def area_from_polar_metric(
     metric: PolarMetric2D, grid: RadialGrid, m_theta: int
 ) -> AreaFunction:
     """Sphere length A(t) of a 2-D polar metric by periodic trapezoid in theta.
 
-    The density is sampled at ``m_theta`` uniform angles per grid node; the
-    result interpolates the node values with a shape-preserving cubic.
+    The density is sampled at ``m_theta`` uniform angles per grid node, a
+    block of rows at a time; the result interpolates the node values with a
+    shape-preserving cubic.
     """
     theta = _angles(m_theta)
     if abs(grid.radius - metric.radius) > 1e-12 * metric.radius:
         raise DomainError("grid radius must match the metric radius")
-    rho = _eval_on(metric.density, grid.nodes[1:, None], theta[None, :])
-    values = rho.sum(axis=1) * (2.0 * math.pi / m_theta)
+    sums = [
+        _eval_on(metric.density, rows, theta[None, :]).sum(axis=1)
+        for rows in _row_blocks(grid.nodes[1:], m_theta)
+    ]
+    values = np.concatenate(sums) * (2.0 * math.pi / m_theta)
     if np.any(values <= 0.0):
         raise InvalidMetricError("angular quadrature of the density is not positive")
     nodes = grid.nodes
@@ -367,9 +380,15 @@ def mean_curvature_field(metric: PolarMetric2D, t, theta):
     return out if out.ndim else float(out)
 
 
-def _interior_curvature(metric: PolarMetric2D, grid: RadialGrid, m_theta: int) -> np.ndarray:
-    """H on every interior grid node (rows) and ``m_theta`` uniform angles (columns)."""
-    return mean_curvature_field(metric, grid.nodes[1:-1, None], _angles(m_theta))
+def _circle_curvature(
+    metric: PolarMetric2D, grid: RadialGrid, m_theta: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spread (max - min) and mean of H over ``m_theta`` uniform angles, per interior grid node."""
+    theta = _angles(m_theta)
+    blocks = _row_blocks(grid.nodes[1:-1], m_theta)
+    fields = (mean_curvature_field(metric, rows, theta) for rows in blocks)
+    spread, mean = zip(*((np.ptp(h, axis=1), np.mean(h, axis=1)) for h in fields))
+    return np.concatenate(spread), np.concatenate(mean)
 
 
 def radiality_deviation(metric: PolarMetric2D, grid: RadialGrid, m_theta: int) -> float:
@@ -378,12 +397,7 @@ def radiality_deviation(metric: PolarMetric2D, grid: RadialGrid, m_theta: int) -
     Zero (to resolution) means every geodesic circle has radial mean
     curvature, the sharpness condition for the symmetrization bound.
     """
-    return _spread(_interior_curvature(metric, grid, m_theta))
-
-
-def _spread(h: np.ndarray) -> float:
-    """Largest max - min of a curvature field along its rows (circles)."""
-    return float(np.max(np.ptp(h, axis=1)))
+    return float(np.max(_circle_curvature(metric, grid, m_theta)[0]))
 
 
 def polar_metric_from_warping(warping: Callable, radius: float) -> PolarMetric2D:

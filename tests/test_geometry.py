@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from ballbound.errors import (
     InvalidMetricError,
     PrecisionError,
 )
-from ballbound.geometry import _eval_on, area_of
+from ballbound.geometry import (
+    _BLOCK,
+    _angles,
+    _circle_curvature,
+    _eval_on,
+    _row_blocks,
+    area_of,
+)
 
 from conftest import (
     bump_curvature_oracle,
@@ -299,6 +307,78 @@ class TestRadialityDeviation:
             counts.append(len(calls))
         # one call each of the density and its radial derivative
         assert counts == [2, 2]
+
+
+ROW_BLOCK_METRICS = {
+    "bumped-disc": lambda: bumped_disc_metric(3.0),
+    "wavy-cone": lambda: wavy_cone_metric(1.0),
+    "theta-independent": lambda: polar_metric_from_warping(space_form_warping(-1.0, 2.0), 2.0),
+}
+
+
+class TestRowBlocks:
+    """Each (radius x angle) field is evaluated in blocks of grid rows; a row's
+    sum, spread and mean are the same arithmetic in any block."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(ROW_BLOCK_METRICS))
+    @pytest.mark.parametrize(
+        "intervals,m_theta",
+        [(3000, 256), (8, _BLOCK + 2)],
+        ids=["ragged-last-block", "one-row-per-block"],
+    )
+    def test_blocks_match_one_full_field_to_the_bit(self, name, intervals, m_theta):
+        metric = ROW_BLOCK_METRICS[name]()
+        grid = RadialGrid(metric.radius, intervals)
+        sizes = [len(rows) for rows in _row_blocks(grid.nodes[1:-1], m_theta)]
+        # several blocks: a ragged last one, or a single row each
+        assert len(sizes) > 1 and (sizes[-1] < sizes[0] or sizes[0] == 1)
+        theta = _angles(m_theta)
+        rho = _eval_on(metric.density, grid.nodes[1:, None], theta[None, :])
+        h = mean_curvature_field(metric, grid.nodes[1:-1, None], theta)
+
+        samples = area_from_polar_metric(metric, grid, m_theta).samples[1]
+        assert samples[0] == 0.0
+        assert np.array_equal(samples[1:], rho.sum(axis=1) * (2.0 * math.pi / m_theta))
+        spread, mean = _circle_curvature(metric, grid, m_theta)
+        assert np.array_equal(spread, np.ptp(h, axis=1))
+        assert np.array_equal(mean, np.mean(h, axis=1))
+        assert radiality_deviation(metric, grid, m_theta) == float(np.max(np.ptp(h, axis=1)))
+
+    def test_peak_memory_is_a_block_not_a_field(self):
+        metric = bumped_disc_metric(3.0)
+        grid = RadialGrid(3.0, 4096)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        peaks = []
+        try:
+            for reduce in (radiality_deviation, area_from_polar_metric):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                reduce(metric, grid, 256)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # one full 4095 x 256 field is 8 MiB; evaluated whole, the two peaked
+        # at 25 and 16 MiB
+        assert peaks[0] < 10 * 2**20
+        assert peaks[1] < 5.5 * 2**20
+
+    def test_nonpositive_density_in_a_later_block_names_the_first_t(self):
+        def density(r, th):
+            r = np.asarray(r, dtype=float)
+            return np.where(np.abs(r - 2.9) < 0.05, -r, r) + 0.0 * np.asarray(th)
+
+        metric = PolarMetric2D(radius=3.0, density=density)
+        grid = RadialGrid(3.0, 4096)
+        with pytest.raises(InvalidMetricError, match="density is not positive at t = ") as full:
+            mean_curvature_field(metric, grid.nodes[1:-1, None], _angles(256))
+        with pytest.raises(InvalidMetricError) as blocked:
+            radiality_deviation(metric, grid, 256)
+        assert str(blocked.value) == str(full.value)
+        first_block = next(_row_blocks(grid.nodes[1:-1], 256))
+        assert float(str(full.value).rsplit(" ", 1)[1]) > first_block[-1, 0]
 
 
 class TestSmallRadiusLaw:

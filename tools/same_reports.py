@@ -64,9 +64,13 @@ ERROR_PATHS = [
 ]
 
 WAVY = {"kind": "polar2d", "rho": "sinh(r)*(1+0.2*sin(2*theta))", "radius": 2}
+BUMPED = {"kind": "polar2d", "radius": 3,
+          "rho": "r + 0.3*piecewise(r <= 2: 0; exp(-1/(r-2)^2))*cos(2*theta)"}
 # commands that succeed off the benchmark's path: every benchmark op runs on
 # grid 4096 with a flat-area density, so these reach the rules' end rows on
-# other grids and the last node of a curved area
+# other grids and the last node of a curved area; and at 256 angles, so the
+# 384-angle runs on grid 5000 move the edges of the row blocks in which a
+# (radius x angle) field is evaluated
 SUCCESS_PATHS = [
     ("bound grid 16", ["bound", "--builtin", "euclidean", "--grid", "16"], None),
     ("moment grid 8", ["bound", "--builtin", "euclidean", "--grid", "8"], None),
@@ -83,6 +87,9 @@ SUCCESS_PATHS = [
     ("symmetrize csv", ["symmetrize", "--config", "{config}", "--grid", "64", "--format", "csv"],
      {"kind": "polar2d", "rho": "sinh(r)", "radius": 2}),
     ("paper-example radius 3.5", ["paper-example", "--radius", "3.5", "--grid", "1024"], None),
+    ("bumped compare grid 5000 theta 384",
+     ["compare", "--config", "{config}", "--grid", "5000", "--theta", "384"], BUMPED),
+    ("paper-example theta 384", ["paper-example", "--grid", "5000", "--theta", "384"], None),
 ]
 
 
