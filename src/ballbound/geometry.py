@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -53,6 +52,18 @@ def _check_radius(radius: float) -> None:
         raise DomainError("radius must be positive")
     if radius * 1e-6 < sys.float_info.min:
         raise PrecisionError(f"radius {radius!r} is too small: 1e-6 R is not a normal float")
+
+
+def _check_tol(tol: float) -> None:
+    """Reject a solver tolerance that is not positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+
+
+def _check_grid(grid: RadialGrid, radius: float, owner: str) -> None:
+    """Reject a grid that does not span the ball of the ``owner`` (an area or a metric)."""
+    if abs(grid.radius - radius) > 1e-12 * radius:
+        raise DomainError(f"grid radius must match the {owner} radius")
 
 
 def _eigenvalue_scale(dimension: int, radius: float) -> float:
@@ -159,14 +170,27 @@ def _require_positive(values: np.ndarray, t: np.ndarray, dimension: int) -> None
         raise InvalidAreaError("A must be positive on (0, R]")
 
 
+def _centre_law(dimension: int, radius: float, area: Callable) -> None:
+    """The smooth-metric centre law: A(t1) / (vol(S^(n-1)) t1^(n-1)) within 5% of 1
+    at t1 = 1e-4 R, for ``area(t1)`` = A(t1); off it raises :class:`InvalidAreaError`."""
+    t1 = np.float64(radius * 1e-4)
+    # in high dimensions t1^(n-1) can overflow or underflow: the ratio is then 0 or inf
+    with np.errstate(all="ignore"):
+        ratio = float(area(t1) / (unit_sphere_volume(dimension) * t1 ** (dimension - 1)))
+    if not abs(ratio - 1.0) <= 0.05:
+        raise InvalidAreaError(
+            f"A(t)/t^(n-1) -> {ratio:.6g} x vol(S^(n-1)) near 0, expected the"
+            " unit-sphere volume (metric smooth at the center)"
+        )
+
+
 class AreaFunction:
     """Evaluator for the geodesic-sphere area A(t) of an n-dimensional ball.
 
     ``samples`` are the (nodes, values) an interpolated area was built from.
-    The smooth-metric centre law, A(t) / (vol(S^(n-1)) t^(n-1)) within 5% of
-    1 at t = 1e-4 R (the first sample node for samples), holds for every
-    area, a model's too: off it is an error for a closed form and a warning
-    for samples, which a coarse grid may not resolve.
+    Every area, a model's too, is held to the centre law (``_centre_law``);
+    a sampled area is the symmetrization of a density that was held to it
+    when its metric was built, so it is not checked again.
     """
 
     def __init__(
@@ -191,28 +215,14 @@ class AreaFunction:
         if abs(a0) > 1e-9 * max(1.0, float(np.max(np.abs(probe)))):
             raise InvalidAreaError(f"A(0) must vanish, got {a0}")
         _require_positive(probe, t_probe, self.dimension)
-        t1 = float(self.samples[0][1]) if self.samples is not None else self.radius * 1e-4
-        # in high dimensions t1^(n-1) can overflow or underflow: the ratio is then 0 or inf
-        with np.errstate(all="ignore"):
-            ratio = float(
-                _eval_on(self.eval, t1)
-                / (unit_sphere_volume(self.dimension) * np.float64(t1) ** (self.dimension - 1))
-            )
-        if not abs(ratio - 1.0) <= 0.05:
-            msg = (
-                f"A(t)/t^(n-1) -> {ratio:.6g} x vol(S^(n-1)) near 0, expected the"
-                " unit-sphere volume (metric smooth at the center)"
-            )
-            if self.samples is None:
-                raise InvalidAreaError(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
+        if self.samples is None:
+            _centre_law(self.dimension, self.radius, lambda t1: _eval_on(self.eval, t1))
 
 
 def _area_samples(area: AreaFunction, grid: RadialGrid, t: np.ndarray) -> np.ndarray:
     """A at increasing radii t in (0, R] of ``grid``, finite and positive, for a solver
     that divides by them; ``grid`` must span the area's ball."""
-    if abs(grid.radius - area.radius) > 1e-12 * area.radius:
-        raise DomainError("grid radius must match the area radius")
+    _check_grid(grid, area.radius, "area")
     with np.errstate(all="ignore"):
         values = _eval_on(area.eval, t)
     _require_finite(values, t)
@@ -232,23 +242,14 @@ class PolarMetric2D:
         self.density_r = density_r
         theta = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
         radii = self.radius * _CHECK_FRACTIONS
-        vals = _eval_on(self.density, radii[:, None], theta[None, :])
-        if np.any(vals <= 0.0):
-            raise InvalidMetricError("density must be positive on (0, R] x [0, 2 pi)")
+        vals = _density(self, radii[:, None], theta[None, :])
         wrap = np.abs(
             _eval_on(self.density, radii, 0.0) - _eval_on(self.density, radii, 2.0 * math.pi)
         )
         if np.any(wrap > 1e-12 * np.max(vals)):
             raise InvalidMetricError("density must be 2 pi periodic in theta")
-        r0 = self.radius * 1e-6
-        ratios = _eval_on(self.density, r0, theta) / r0
-        if np.max(np.abs(ratios - 1.0)) > 1e-3:
-            warnings.warn(
-                "density/r does not tend to 1 at the center; the metric may be"
-                " singular there",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        # 256 angles: the 16 probe angles alias cos(16 theta) onto a constant
+        _centre_law(2, self.radius, lambda t1: _circle_lengths(self, t1, _angles(256)))
 
 
 def _fd_density_r(density: Callable, radius: float) -> Callable:
@@ -264,6 +265,21 @@ def _fd_density_r(density: Callable, radius: float) -> Callable:
         return (up - down) / (2.0 * h)
 
     return deriv
+
+
+def _require_at(ok: np.ndarray, r, failure: str) -> None:
+    """Raise :class:`InvalidMetricError` "<failure> at t = <radius of the first False in ok>"."""
+    if not np.all(ok):
+        t = np.broadcast_to(np.asarray(r, dtype=float), ok.shape)[~ok][0]
+        raise InvalidMetricError(f"{failure} at t = {float(t)}")
+
+
+def _density(metric: PolarMetric2D, r, theta) -> np.ndarray:
+    """The density at radii ``r`` and angles ``theta`` (arrays that broadcast), every
+    sample > 0: the one positivity rule of a density, which also rejects NaN."""
+    rho = _eval_on(metric.density, r, theta)
+    _require_at(rho > 0.0, r, "density is not positive")
+    return rho
 
 
 def area_from_warping(dimension: int, radius: float, warping: Callable) -> AreaFunction:
@@ -305,6 +321,11 @@ def _angles(m_theta: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(m_theta) / m_theta
 
 
+def _circle_lengths(metric: PolarMetric2D, t, theta: np.ndarray) -> np.ndarray:
+    """Lengths of the circles of radii ``t`` by the periodic trapezoid rule at ``theta``."""
+    return _density(metric, t, theta).sum(axis=-1) * (2.0 * math.pi / theta.size)
+
+
 def _row_blocks(t: np.ndarray, m_theta: int):
     """Consecutive radii of ``t`` as columns of at most ``_BLOCK // m_theta`` rows, at least one."""
     rows = max(1, _BLOCK // m_theta)
@@ -321,18 +342,10 @@ def area_from_polar_metric(
     shape-preserving cubic.
     """
     theta = _angles(m_theta)
-    if abs(grid.radius - metric.radius) > 1e-12 * metric.radius:
-        raise DomainError("grid radius must match the metric radius")
-    sums = [
-        _eval_on(metric.density, rows, theta[None, :]).sum(axis=1)
-        for rows in _row_blocks(grid.nodes[1:], m_theta)
-    ]
-    values = np.concatenate(sums) * (2.0 * math.pi / m_theta)
-    if np.any(values <= 0.0):
-        raise InvalidMetricError("angular quadrature of the density is not positive")
-    nodes = grid.nodes
-    samples = np.concatenate([[0.0], values])
-    spline = _pchip(nodes, samples)
+    _check_grid(grid, metric.radius, "metric")
+    blocks = _row_blocks(grid.nodes[1:], m_theta)
+    samples = np.concatenate([[0.0], *(_circle_lengths(metric, rows, theta) for rows in blocks)])
+    spline = _pchip(grid.nodes, samples)
 
     def evaluate(t):
         arr = np.asarray(t, dtype=float)
@@ -344,7 +357,7 @@ def area_from_polar_metric(
         dimension=2,
         radius=grid.radius,
         eval=evaluate,
-        samples=(nodes.copy(), samples),
+        samples=(grid.nodes.copy(), samples),
     )
 
 
@@ -370,13 +383,10 @@ def mean_curvature_field(metric: PolarMetric2D, t, theta):
     outside = ~((0.0 < tt) & (tt < metric.radius))
     if np.any(outside):
         raise DomainError(f"t must lie strictly inside (0, R), got {float(tt[outside][0])}")
-    rho = _eval_on(metric.density, tt, theta)
-    bad = rho <= 0.0
-    if np.any(bad):
-        raise InvalidMetricError(
-            f"density is not positive at t = {float(np.broadcast_to(tt, rho.shape)[bad][0])}"
-        )
-    out = _eval_on(metric.density_r, tt, theta) / rho
+    rho = _density(metric, tt, theta)
+    with np.errstate(all="ignore"):
+        out = _eval_on(metric.density_r, tt, theta) / rho
+    _require_at(np.isfinite(out), tt, "mean curvature is not finite")
     return out if out.ndim else float(out)
 
 
@@ -385,6 +395,7 @@ def _circle_curvature(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spread (max - min) and mean of H over ``m_theta`` uniform angles, per interior grid node."""
     theta = _angles(m_theta)
+    _check_grid(grid, metric.radius, "metric")
     blocks = _row_blocks(grid.nodes[1:-1], m_theta)
     fields = (mean_curvature_field(metric, rows, theta) for rows in blocks)
     spread, mean = zip(*((np.ptp(h, axis=1), np.mean(h, axis=1)) for h in fields))
@@ -413,24 +424,15 @@ def space_form_model(dimension: int, kappa: float, radius: float) -> AreaFunctio
     return area_from_warping(dimension, radius, space_form_warping(kappa, radius))
 
 
-def _bump(t):
-    """Compactly supported profile: 0 for t <= 2, exp(-1/(t-2)^2) beyond."""
+def _bump(t, prime: bool = False):
+    """Compactly supported profile 0 for t <= 2, exp(-1/(t-2)^2) beyond, or its derivative."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros_like(arr)
     m = arr > 2.0
     if np.any(m):
         u = arr[m] - 2.0
-        out[m] = np.exp(-1.0 / (u * u))
-    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
-
-
-def _bump_prime(t):
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(arr)
-    m = arr > 2.0
-    if np.any(m):
-        u = arr[m] - 2.0
-        out[m] = np.exp(-1.0 / (u * u)) * 2.0 / (u * u * u)
+        e = np.exp(-1.0 / (u * u))
+        out[m] = e * 2.0 / (u * u * u) if prime else e
     return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
 
@@ -446,6 +448,6 @@ def bumped_disc_metric(radius: float) -> PolarMetric2D:
         return np.asarray(r, dtype=float) + _bump(r) * np.cos(np.asarray(theta, dtype=float))
 
     def density_r(r, theta):
-        return 1.0 + _bump_prime(r) * np.cos(np.asarray(theta, dtype=float))
+        return 1.0 + _bump(r, prime=True) * np.cos(np.asarray(theta, dtype=float))
 
     return PolarMetric2D(radius=radius, density=density, density_r=density_r)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .geometry import AreaFunction, RadialGrid, _area_samples, _eigenvalue_scale
+from .geometry import AreaFunction, RadialGrid, _area_samples, _check_tol, _eigenvalue_scale
 
 NORM_RATIO = "norm-ratio"
 CENTER_RATIO = "center-ratio"
@@ -131,8 +131,7 @@ def run_until_converged(
     ``k_max`` levels are exhausted first the series come back flagged
     unconverged rather than raising; overflow raises :class:`PrecisionError`.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     if k_max < 2:
         raise DomainError("k_max must be at least 2")
     levels = _hierarchy(area, grid)

@@ -27,8 +27,9 @@ from .geometry import (
     PolarMetric2D,
     RadialGrid,
     _area_samples,
+    _check_tol,
+    _density,
     _eigenvalue_scale,
-    _eval_on,
 )
 from .quadrature import richardson_estimate, richardson_extrapolate
 
@@ -118,8 +119,7 @@ def shoot_radial_lambda1(
     the midpoint.  ``iterations`` counts every RK4 sweep; the residual is
     |f(R)| at the final eigenvalue.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     h = grid.spacing
     # the nodes of (0, R] and the step midpoints between them, in radial order
     t = np.repeat(grid.nodes[1:], 2)[:-1]
@@ -267,12 +267,10 @@ def build_discrete_laplacian(metric: PolarMetric2D, mesh: Mesh2D):
     theta = dth * np.arange(m_t)
 
     r_face = dr * (np.arange(m_r) + 0.5)
-    rho_face = _eval_on(metric.density, r_face[:, None], theta[None, :])
-    rho_ring = _eval_on(metric.density, r_ring[:, None], theta[None, :])
-    rho_ang = _eval_on(metric.density, r_ring[:, None], (theta + 0.5 * dth)[None, :])
-    rho_center = _eval_on(metric.density, 0.25 * dr, theta)
-    if any(np.any(rho <= 0.0) for rho in (rho_face, rho_ring, rho_ang, rho_center)):
-        raise DomainError("density must be positive on the mesh")
+    rho_face = _density(metric, r_face[:, None], theta[None, :])
+    rho_ring = _density(metric, r_ring[:, None], theta[None, :])
+    rho_ang = _density(metric, r_ring[:, None], (theta + 0.5 * dth)[None, :])
+    rho_center = _density(metric, 0.25 * dr, theta)
 
     with np.errstate(all="ignore"):
         c_rad = rho_face * dth / dr          # conductance across radial faces
@@ -305,8 +303,7 @@ def eigen_2d_polar(metric: PolarMetric2D, mesh: Mesh2D, tol: float = 1e-8) -> Ei
     the relative residual ||K x - lambda M x|| / (lambda ||M x||) is at most
     2 tol.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     stiffness, mass = build_discrete_laplacian(metric, mesh)
     k_exp = math.frexp(max(np.max(stiffness.radial), np.max(stiffness.angular)))[1]
     m_exp = math.frexp(float(np.max(mass)))[1]

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,13 +92,11 @@ def wavy_cone_metric(radius: float) -> PolarMetric2D:
     The angular reparametrization integrating the density is a global
     isometry onto the flat disc, so its eigenvalue equals the disc's.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return PolarMetric2D(
-            radius=radius,
-            density=lambda r, th: np.asarray(r, dtype=float) * (1.0 + 0.3 * np.sin(3.0 * np.asarray(th))),
-            density_r=lambda r, th: 1.0 + 0.3 * np.sin(3.0 * np.asarray(th)) + 0.0 * np.asarray(r),
-        )
+    return PolarMetric2D(
+        radius=radius,
+        density=lambda r, th: np.asarray(r, dtype=float) * (1.0 + 0.3 * np.sin(3.0 * np.asarray(th))),
+        density_r=lambda r, th: 1.0 + 0.3 * np.sin(3.0 * np.asarray(th)) + 0.0 * np.asarray(r),
+    )
 
 
 def counting_metric(metric: PolarMetric2D) -> tuple[PolarMetric2D, list[str]]:

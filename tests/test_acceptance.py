@@ -241,15 +241,11 @@ def test_criterion_9_property_suites():
     checks.append((shape2_ok, "radial eigenfunctions: flat center, decreasing"))
 
     # 2-D operator: the reference matrix on random vectors at 1e-14, symmetric at 1e-10
-    import warnings
-
     sym_ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for label, metric in metric_suite():
-            mismatch, asymmetry, mass_ok = operator_defects(metric, Mesh2D(24, 24))
-            if not (mismatch <= 1e-14 and asymmetry <= 1e-10 and mass_ok):
-                sym_ok = False
+    for label, metric in metric_suite():
+        mismatch, asymmetry, mass_ok = operator_defects(metric, Mesh2D(24, 24))
+        if not (mismatch <= 1e-14 and asymmetry <= 1e-10 and mass_ok):
+            sym_ok = False
     checks.append((sym_ok, "2-D operator equals the assembled matrix, symmetric at 1e-10"))
 
     # expression parser round trip on 1000 random trees

@@ -356,7 +356,6 @@ class TestConfigFiles:
         # a handful of array evaluations, not one per (node, angle) pair
         assert len(calls) <= 10
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_polar_density_bound_symmetrizes_first(self, tmp_path):
         cfg = tmp_path / "wavy.json"
         cfg.write_text(
@@ -391,10 +390,19 @@ class TestConfigFiles:
 
 class TestOneBallManySpellings:
     """A radial ball given as a builtin or a warping is the same area function
-    as its area config, so every subcommand treats the spellings alike."""
+    as its area config, and a 2-D density is held to the same centre law, so
+    every subcommand treats the spellings alike."""
 
     # ball -> its spellings and the exit code of every subcommand on them
     BALLS = {
+        "euclidean-n2": (
+            [
+                {"kind": "builtin", "builtin": "euclidean", "dimension": 2},
+                {"kind": "area", "area": "2*pi*t"},
+                {"kind": "polar2d", "rho": "r"},
+            ],
+            0,
+        ),
         "euclidean-n3": (
             [
                 {"kind": "builtin", "builtin": "euclidean", "dimension": 3},
@@ -412,7 +420,14 @@ class TestOneBallManySpellings:
             ],
             0,
         ),
-        "cone": ([{"kind": "warping", "omega": "2*t"}, {"kind": "area", "area": "4*pi*t"}], 5),
+        "cone": (
+            [
+                {"kind": "warping", "omega": "2*t"},
+                {"kind": "area", "area": "4*pi*t"},
+                {"kind": "polar2d", "rho": "2*r"},
+            ],
+            5,
+        ),
     }
 
     @staticmethod
@@ -447,11 +462,31 @@ class TestOneBallManySpellings:
             assert first_err.startswith("invalid input: A(t)/t^(n-1) -> 2 x vol(S^(n-1)) near 0")
             return
         first = outcomes[0][2]
-        for _, _, report in outcomes[1:]:
+        for config, (_, _, report) in zip(spellings[1:], outcomes[1:]):
+            if command == "oracle" and config["kind"] == "polar2d":
+                # the 2-D finite-volume solver, not shooting: its Richardson
+                # extrapolation lies far inside its own error estimate
+                oracle = report["oracle"]
+                lam = first["oracle"]["lambda1"]
+                assert abs(oracle["lambda1_extrapolated"] - lam) <= 1e-3 * oracle["richardson"]
+                continue
             if command == "compare":
                 assert report["comparison"]["verdict"] == first["comparison"]["verdict"]
             pairs = list(zip(self._values(first), self._values(report), strict=True))
             assert all(abs(v - u) <= 1e-12 * abs(u) for u, v in pairs)
+
+    @pytest.mark.parametrize("command", ["bound", "oracle", "symmetrize", "compare"])
+    def test_density_that_dips_below_zero_is_rejected(self, tmp_path, capsys, command):
+        # negative only near t = 0.33, theta = 0.1: between the construction
+        # probes, and with positive circle lengths; every sample is checked
+        cfg = tmp_path / "dip.json"
+        cfg.write_text(json.dumps({
+            "kind": "polar2d", "rho": "r*(1-3*exp(-((r-0.35)/0.02)^2-((theta-0.1)/0.05)^2))",
+        }))
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: stage '") and err.count("\n") == 1
+        assert "failed: density is not positive at t = 0.3" in err
 
     # warpings whose spheres collapse inside the ball: w changes sign there, so
     # A = vol w^(n-1) does too, in odd dimensions as in even ones

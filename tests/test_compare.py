@@ -9,6 +9,7 @@ from ballbound import (
     EQUALITY_CANDIDATE,
     HYPOTHESIS_FAILS,
     Mesh2D,
+    PolarMetric2D,
     RadialGrid,
     bumped_disc_metric,
     cheng_report,
@@ -23,7 +24,7 @@ from ballbound import (
     space_form_warping,
 )
 import ballbound.compare
-from ballbound.errors import DomainError, InvalidAreaError
+from ballbound.errors import DomainError, InvalidAreaError, InvalidMetricError
 
 from conftest import J0_SQUARED, counting_metric, metric_suite, wavy_cone_metric
 
@@ -136,7 +137,6 @@ class TestChengReport:
             via_kappa.reference_lambda, rel=1e-9
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_soundness_harness(self):
         """Whenever the monotonicity hypothesis passes, the bound holds."""
         references = (-1.0, 0.0, 1.0)
@@ -203,12 +203,20 @@ class TestEqualityCriterion:
         # the curvature field once; a sharp metric also builds its area once
         assert counts == ([3, 3] if sharp else [2, 2])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_curvature_is_rejected_not_sharp(self, unit_grid):
+        # NaN compares false against every tolerance, so it used to read as sharp
+        metric = PolarMetric2D(
+            radius=1.0,
+            density=lambda r, th: np.asarray(r, dtype=float) + 0.0 * np.asarray(th),
+            density_r=lambda r, th: np.where(np.asarray(r) > 0.5, np.nan, 1.0) + 0.0 * np.asarray(th),
+        )
+        with pytest.raises(InvalidMetricError, match="mean curvature is not finite at t = 0.5"):
+            equality_criterion(metric, unit_grid, 64, 1e-6)
+
     def test_wavy_cone_is_sharp(self, unit_grid):
         # the angular reparametrization is an isometry onto the flat disc
         assert equality_criterion(wavy_cone_metric(1.0), unit_grid, 64, 1e-6)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_equality_implies_matching_eigenvalues(self, unit_grid):
         """Sharp metrics: the 2-D eigenvalue equals the symmetrized bound."""
         from ballbound import area_from_polar_metric, run_until_converged

@@ -26,6 +26,7 @@ from ballbound.errors import (
     InvalidMetricError,
     PrecisionError,
 )
+from ballbound.exprparse import evaluate, parse
 from ballbound.geometry import (
     _BLOCK,
     _angles,
@@ -42,6 +43,16 @@ from conftest import (
     suite_warping,
     wavy_cone_metric,
 )
+
+
+def density_of(source: str):
+    """The density rho(r, theta) of an expression, as the CLI evaluates a polar2d config."""
+    tree = parse(source)
+    return lambda r, theta: evaluate(tree, {"r": r, "theta": theta})
+
+
+# a density that dips below 0 near t = 0.33, theta = 0.1 (R = 1)
+DIP = density_of("r*(1-3*exp(-((r-0.35)/0.02)^2-((theta-0.1)/0.05)^2))")
 
 
 class TestEvaluationContract:
@@ -199,12 +210,18 @@ class TestAreaFromPolarMetric:
         area = area_from_polar_metric(metric, grid, 32)
         assert np.max(np.abs(area.samples[1] - 2.0 * math.pi * grid.nodes)) < 1e-13
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_oscillatory_density_averages_out(self):
         grid = RadialGrid(1.0, 64)
         area = area_from_polar_metric(wavy_cone_metric(1.0), grid, 64)
         # int sin(3 theta) dtheta = 0 over a full period (hand integration)
         assert np.max(np.abs(area.samples[1] - 2.0 * math.pi * grid.nodes)) < 1e-10
+
+    def test_density_dip_between_probes_rejected(self):
+        # negative near t = 0.33, theta = 0.1, a radius no construction probe reaches;
+        # its row sums stay positive, every sample is checked
+        metric = PolarMetric2D(radius=1.0, density=DIP)
+        with pytest.raises(InvalidMetricError, match=r"density is not positive at t = 0\.3291015625"):
+            area_from_polar_metric(metric, RadialGrid(1.0, 4096), 256)
 
     def test_odd_theta_count_rejected(self):
         grid = RadialGrid(1.0, 64)
@@ -233,6 +250,18 @@ class TestMeanCurvature:
         assert h_back == pytest.approx(bump_curvature_oracle(3.0, math.pi), rel=1e-12)
         assert abs(h_front - h_back) > 1e-2
         assert h_front > 1.0 / 3.0
+
+    def test_non_finite_curvature_rejected(self):
+        metric = PolarMetric2D(
+            radius=1.0,
+            density=lambda r, th: np.asarray(r, dtype=float) + 0.0 * np.asarray(th),
+            density_r=lambda r, th: np.where(np.asarray(r) > 0.5, np.nan, 1.0) + 0.0 * np.asarray(th),
+        )
+        grid = RadialGrid(1.0, 64)
+        with pytest.raises(InvalidMetricError, match="mean curvature is not finite at t = 0.515625"):
+            mean_curvature_field(metric, grid.nodes[1:-1, None], _angles(16))
+        with pytest.raises(InvalidMetricError, match="mean curvature is not finite at t = 0.515625"):
+            radiality_deviation(metric, grid, 16)
 
     def test_domain_checks(self):
         metric = bumped_disc_metric(3.0)
@@ -299,6 +328,11 @@ class TestRadialityDeviation:
         d1 = radiality_deviation(rotated, grid, 192)
         assert abs(d0 - d1) < 1e-12
 
+    def test_grid_of_another_radius_rejected(self):
+        # the radius-2 grid would measure only the inner disc, where the bump is 0
+        with pytest.raises(DomainError, match="grid radius must match the metric radius"):
+            radiality_deviation(bumped_disc_metric(3.0), RadialGrid(2.0, 512), 64)
+
     def test_density_calls_do_not_grow_with_the_grid(self):
         counts = []
         for intervals in (64, 512):
@@ -320,7 +354,6 @@ class TestRowBlocks:
     """Each (radius x angle) field is evaluated in blocks of grid rows; a row's
     sum, spread and mean are the same arithmetic in any block."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name", sorted(ROW_BLOCK_METRICS))
     @pytest.mark.parametrize(
         "intervals,m_theta",
@@ -419,14 +452,11 @@ class TestValidation:
             AreaFunction(dimension=2, radius=1.0, eval=lambda t: np.asarray(t) ** 2)
 
     def test_center_ratio_policy(self):
-        # a sampled area warns, a closed-form area raises; models raise (below)
-        grid = RadialGrid(1.0, 64)
-        with pytest.warns(RuntimeWarning):
-            tripled = PolarMetric2D(radius=1.0, density=lambda r, th: 3.0 * np.asarray(r) + 0.0 * th)
-        with pytest.warns(RuntimeWarning, match=r"A\(t\)/t\^\(n-1\) -> 3"):
-            area = area_from_polar_metric(tripled, grid, 16)
-        assert np.allclose(area.samples[1], 6.0 * math.pi * grid.nodes)
-        with pytest.raises(InvalidAreaError, match=r"A\(t\)/t\^\(n-1\) -> 3"):
+        # one law for a closed-form area and for the circle lengths of a density,
+        # which raise alike; models raise too (below)
+        with pytest.raises(InvalidAreaError, match=r"A\(t\)/t\^\(n-1\) -> 3 "):
+            PolarMetric2D(radius=1.0, density=lambda r, th: 3.0 * np.asarray(r) + 0.0 * th)
+        with pytest.raises(InvalidAreaError, match=r"A\(t\)/t\^\(n-1\) -> 3 "):
             AreaFunction(dimension=2, radius=1.0, eval=lambda t: 6.0 * math.pi * np.asarray(t))
 
     def test_cone_warping_rejected(self):
@@ -435,8 +465,13 @@ class TestValidation:
             area_from_warping(2, 1.0, lambda t: 2.0 * np.asarray(t, dtype=float))
 
     def test_nonpositive_density_rejected(self):
-        with pytest.raises(InvalidMetricError):
+        with pytest.raises(InvalidMetricError, match="density is not positive at t = 1e-06"):
             PolarMetric2D(radius=1.0, density=lambda r, th: np.asarray(r) - 0.5)
+        with pytest.raises(InvalidMetricError, match="density is not positive at t = 0.75"):
+            PolarMetric2D(
+                radius=1.0,
+                density=lambda r, th: np.where(np.asarray(r) > 0.6, np.nan, r) + 0.0 * np.asarray(th),
+            )
 
     def test_nonperiodic_density_rejected(self):
         with pytest.raises(InvalidMetricError):
@@ -445,9 +480,12 @@ class TestValidation:
                 density=lambda r, th: np.asarray(r) * (1.0 + 0.1 * np.asarray(th)),
             )
 
-    def test_conical_center_warns(self):
-        with pytest.warns(RuntimeWarning):
-            PolarMetric2D(
-                radius=1.0,
-                density=lambda r, th: np.asarray(r) * (1.0 + 0.3 * np.sin(3.0 * np.asarray(th))),
-            )
+    def test_conical_center_raises(self):
+        # a density off 1 at the center in some directions is the flat disc in
+        # other angle coordinates when its circle lengths are 2 pi t; the law
+        # reads the circle lengths, at 256 angles, so that cos(16 theta) does
+        # not alias onto the 16 construction probes
+        for wave in ("sin(3*theta)", "cos(16*theta)"):
+            PolarMetric2D(radius=1.0, density=density_of(f"r*(1+0.3*{wave})"))
+            with pytest.raises(InvalidAreaError, match=r"A\(t\)/t\^\(n-1\) -> 2 "):
+                PolarMetric2D(radius=1.0, density=density_of(f"2*r*(1+0.3*{wave})"))

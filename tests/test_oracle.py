@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -200,7 +199,6 @@ class TestEigen2D:
         assert flat_value - fine.lambda1 > estimate
 
     @pytest.mark.parametrize("label,metric", metric_suite())
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_assembly_is_symmetric(self, label, metric):
         # the matrix-free operator against the COO-assembled reference matrix
         mismatch, asymmetry, mass_ok = operator_defects(metric, Mesh2D(24, 24))
@@ -228,9 +226,7 @@ class TestEigen2D:
             def density(r, th):
                 return np.asarray(r) + a * _bump(r) * np.cos(k * np.asarray(th))
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            metric = PolarMetric2D(radius=radius, density=density)
+        metric = PolarMetric2D(radius=radius, density=density)
         res = eigen_2d_polar(metric, Mesh2D(n, n), 1e-9)
         assert res.lambda1 == pytest.approx(reference_lambda1(metric, Mesh2D(n, n), 1e-9), rel=1e-10)
         assert np.all(res.eigenfunction > 0.0)
@@ -241,7 +237,6 @@ class TestEigen2D:
             eigen_2d_polar(bumped_disc_metric(3.0), Mesh2D(32, 32), 1e-8)
 
     @pytest.mark.parametrize("label,metric", metric_suite())
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_symmetrized_bound_dominates_2d_eigenvalue(self, label, metric):
         """Desk-scale main comparison: lambda1(g) <= bound of the symmetrized model."""
         from ballbound import area_from_polar_metric

@@ -38,6 +38,12 @@ SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 WARNING_AT = re.compile(r"^\S*/ballbound/(\w+)\.py:\d+:(.*)(\n  .*)?$", re.MULTILINE)
 
 
+# a density off the centre law, and one negative near t = 0.33 only, between
+# the probes made when a metric is built
+CONE = {"kind": "polar2d", "rho": "2*r", "radius": 1}
+DIP = {"kind": "polar2d", "radius": 1,
+       "rho": "r*(1-3*exp(-((r-0.35)/0.02)^2-((theta-0.1)/0.05)^2))"}
+
 # (label, CLI arguments, config written to "{config}" or None): commands that
 # end in an error, whose exit code and stderr the benchmark ops never show
 ERROR_PATHS = [
@@ -61,6 +67,9 @@ ERROR_PATHS = [
      {"kind": "warping", "omega": "2*t"}),
     ("sign-changing warping n=3 bound", ["bound", "--config", "{config}"],
      {"kind": "warping", "omega": "sin(t)", "dimension": 3, "radius": 4}),
+    ("cone density bound", ["bound", "--config", "{config}"], CONE),
+    ("cone density oracle", ["oracle", "--config", "{config}"], CONE),
+    ("dip density bound", ["bound", "--config", "{config}"], DIP),
 ]
 
 WAVY = {"kind": "polar2d", "rho": "sinh(r)*(1+0.2*sin(2*theta))", "radius": 2}
