@@ -387,16 +387,9 @@ def _eval(node: Expression, env: dict):
 
 def _eval_piecewise(node: Piecewise, env: dict):
     # Only the node's own array variables are broadcast and masked: one it does
-    # not read would multiply every branch's work by that array's size.
-    array_keys = [
-        k for k in free_variables(node) if isinstance(env[k], np.ndarray) and env[k].ndim > 0
-    ]
-    if not array_keys:
-        for cond, value in node.branches:
-            if _eval(cond, env):
-                return _eval(value, env)
-        return _eval(node.default, env)
-
+    # not read would multiply every branch's work by that array's size.  With
+    # scalar bindings only, the shape is () and the mask has one entry.
+    array_keys = [k for k in free_variables(node) if isinstance(env[k], np.ndarray)]
     shape = np.broadcast_shapes(*(env[k].shape for k in array_keys))
     size = int(np.prod(shape))
     flat = {**env, **{k: np.broadcast_to(env[k], shape).reshape(-1) for k in array_keys}}

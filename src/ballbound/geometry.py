@@ -309,8 +309,6 @@ def warping_from_area(area: AreaFunction) -> Callable:
             raise InvalidAreaError("area function is negative on the requested points")
         return (np.clip(a, 0.0, None) / vol) ** (1.0 / (n - 1))
 
-    if area.samples is not None and np.any(area.samples[1] < 0.0):
-        raise InvalidAreaError("sampled area function has negative nodes")
     return w_eval
 
 

@@ -359,12 +359,3 @@ def eigen_2d_refined(
     extrapolated = richardson_extrapolate(coarse.lambda1, fine.lambda1, order=2)
     return fine, estimate, extrapolated
 
-
-__all__ = [
-    "EigenResult",
-    "Mesh2D",
-    "shoot_radial_lambda1",
-    "build_discrete_laplacian",
-    "eigen_2d_polar",
-    "eigen_2d_refined",
-]

@@ -12,18 +12,18 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 from scipy.special import jn_zeros
 
-from ballbound import (
+from ballbound.geometry import (
     AreaFunction,
-    Mesh2D,
     PolarMetric2D,
     RadialGrid,
+    _eval_on,
     area_from_polar_metric,
     bumped_disc_metric,
     polar_metric_from_warping,
     space_form_model,
     space_form_warping,
 )
-from ballbound.geometry import _eval_on
+from ballbound.oracle import Mesh2D
 from ballbound.exprparse import (
     BinOp,
     Call,
@@ -216,7 +216,7 @@ def operator_defects(metric: PolarMetric2D, mesh: Mesh2D) -> tuple[float, float,
     vectors, the symmetry defect |<u, K v> - <K u, v>| over the largest
     reference entry, and whether the mass diagonals are equal and positive.
     """
-    from ballbound import build_discrete_laplacian
+    from ballbound.oracle import build_discrete_laplacian
 
     stiffness, mass = build_discrete_laplacian(metric, mesh)
     reference, reference_mass = reference_laplacian(metric, mesh)

@@ -9,29 +9,22 @@ import time
 
 import numpy as np
 
-from ballbound import (
-    BOUND_HOLDS,
-    Mesh2D,
+from ballbound.compare import BOUND_HOLDS, cheng_report, equality_criterion, monotonicity_check
+from ballbound.exprparse import format_expression, parse
+from ballbound.geometry import (
     RadialGrid,
+    _eval_on,
     area_from_polar_metric,
     area_from_warping,
     bumped_disc_metric,
-    cheng_report,
-    compute_moments,
-    equality_criterion,
     euclidean_model,
-    format_expression,
-    monotonicity_check,
-    parse,
     radiality_deviation,
-    run_until_converged,
-    shoot_radial_lambda1,
     space_form_model,
     space_form_warping,
     warping_from_area,
 )
-from ballbound.geometry import _eval_on
-from ballbound.oracle import eigen_2d_refined
+from ballbound.moments import compute_moments, run_until_converged
+from ballbound.oracle import Mesh2D, eigen_2d_refined, shoot_radial_lambda1
 
 from conftest import (
     J0_SQUARED,

@@ -3,28 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from ballbound import (
+import ballbound.compare
+from ballbound.compare import (
     BOUND_BELOW_REFERENCE,
     BOUND_HOLDS,
     EQUALITY_CANDIDATE,
     HYPOTHESIS_FAILS,
-    Mesh2D,
+    cheng_report,
+    equality_criterion,
+    monotonicity_check,
+)
+from ballbound.errors import DomainError, InvalidAreaError, InvalidMetricError
+from ballbound.geometry import (
     PolarMetric2D,
     RadialGrid,
     bumped_disc_metric,
-    cheng_report,
-    eigen_2d_refined,
-    equality_criterion,
     euclidean_model,
-    monotonicity_check,
     polar_metric_from_warping,
-    run_until_converged,
-    shoot_radial_lambda1,
     space_form_model,
     space_form_warping,
 )
-import ballbound.compare
-from ballbound.errors import DomainError, InvalidAreaError, InvalidMetricError
+from ballbound.moments import run_until_converged
+from ballbound.oracle import Mesh2D, eigen_2d_refined, shoot_radial_lambda1
 
 from conftest import J0_SQUARED, counting_metric, metric_suite, wavy_cone_metric
 
@@ -61,7 +61,7 @@ class TestMonotonicityCheck:
         assert down and not up
 
     def test_zero_reference_rejected(self, unit_grid):
-        from ballbound import AreaFunction
+        from ballbound.geometry import AreaFunction
 
         flat = euclidean_model(2, 1.0)
 
@@ -219,7 +219,8 @@ class TestEqualityCriterion:
 
     def test_equality_implies_matching_eigenvalues(self, unit_grid):
         """Sharp metrics: the 2-D eigenvalue equals the symmetrized bound."""
-        from ballbound import area_from_polar_metric, run_until_converged
+        from ballbound.geometry import area_from_polar_metric
+        from ballbound.moments import run_until_converged
 
         for label, metric in metric_suite():
             grid = RadialGrid(metric.radius, 256)

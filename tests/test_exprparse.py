@@ -4,9 +4,20 @@ import random
 import numpy as np
 import pytest
 
-from ballbound import evaluate, format_expression, free_variables, parse
 from ballbound.errors import EvaluationError, ExpressionSyntaxError
-from ballbound.exprparse import FUNCTIONS, BinOp, Call, Neg, Num, Piecewise, Var
+from ballbound.exprparse import (
+    FUNCTIONS,
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Piecewise,
+    Var,
+    evaluate,
+    format_expression,
+    free_variables,
+    parse,
+)
 
 from conftest import random_expression
 

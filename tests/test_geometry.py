@@ -4,22 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ballbound import (
-    AreaFunction,
-    PolarMetric2D,
-    RadialGrid,
-    area_from_polar_metric,
-    area_from_warping,
-    bumped_disc_metric,
-    euclidean_model,
-    mean_curvature_field,
-    polar_metric_from_warping,
-    radiality_deviation,
-    space_form_model,
-    space_form_warping,
-    unit_sphere_volume,
-    warping_from_area,
-)
 from ballbound.errors import (
     DomainError,
     InvalidAreaError,
@@ -29,11 +13,25 @@ from ballbound.errors import (
 from ballbound.exprparse import evaluate, parse
 from ballbound.geometry import (
     _BLOCK,
+    AreaFunction,
+    PolarMetric2D,
+    RadialGrid,
     _angles,
     _circle_curvature,
     _eval_on,
     _row_blocks,
+    area_from_polar_metric,
+    area_from_warping,
     area_of,
+    bumped_disc_metric,
+    euclidean_model,
+    mean_curvature_field,
+    polar_metric_from_warping,
+    radiality_deviation,
+    space_form_model,
+    space_form_warping,
+    unit_sphere_volume,
+    warping_from_area,
 )
 
 from conftest import (
@@ -186,16 +184,6 @@ class TestWarpingAreaRoundTrip:
         w = warping_from_area(area)
         # pi/6 falls between grid nodes; the cubic interpolant is ~O(h^4) there
         assert float(_eval_on(w, math.pi / 6)) == pytest.approx(0.5, abs=1e-6)
-
-    def test_negative_area_rejected(self):
-        bad = AreaFunction(
-            dimension=2,
-            radius=1.0,
-            eval=lambda t: 2.0 * math.pi * np.asarray(t),
-            samples=(np.linspace(0, 1, 9), np.array([0, 1, 2, 3, -4, 5, 6, 7, 8.0])),
-        )
-        with pytest.raises(InvalidAreaError):
-            warping_from_area(bad)
 
 
 class TestAreaFromPolarMetric:

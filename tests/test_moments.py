@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ballbound import (
+from ballbound.errors import DomainError, InvalidAreaError
+from ballbound.geometry import (
     AreaFunction,
     RadialGrid,
     area_from_warping,
-    compute_moments,
     euclidean_model,
-    run_until_converged,
-    shoot_radial_lambda1,
     space_form_warping,
 )
-from ballbound.errors import DomainError, InvalidAreaError
+from ballbound.moments import compute_moments, run_until_converged
+from ballbound.oracle import shoot_radial_lambda1
 
 from conftest import J0_SQUARED, PI_SQUARED, model_suite
 

@@ -7,25 +7,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import j0, jn_zeros
 
-from ballbound import (
-    AreaFunction,
-    Mesh2D,
-    PolarMetric2D,
-    RadialGrid,
-    bumped_disc_metric,
-    eigen_2d_polar,
-    eigen_2d_refined,
-    euclidean_model,
-    polar_metric_from_warping,
-    run_until_converged,
-    shoot_radial_lambda1,
-    space_form_model,
-    space_form_warping,
-    area_from_warping,
-)
 from ballbound import oracle
 from ballbound.errors import ConvergenceError, DomainError, InvalidAreaError, PrecisionError
-from ballbound.geometry import _bump
+from ballbound.geometry import (
+    AreaFunction,
+    PolarMetric2D,
+    RadialGrid,
+    _bump,
+    area_from_warping,
+    bumped_disc_metric,
+    euclidean_model,
+    polar_metric_from_warping,
+    space_form_model,
+    space_form_warping,
+)
+from ballbound.moments import run_until_converged
+from ballbound.oracle import Mesh2D, eigen_2d_polar, eigen_2d_refined, shoot_radial_lambda1
 
 from conftest import (
     J0_SQUARED,
@@ -239,7 +236,7 @@ class TestEigen2D:
     @pytest.mark.parametrize("label,metric", metric_suite())
     def test_symmetrized_bound_dominates_2d_eigenvalue(self, label, metric):
         """Desk-scale main comparison: lambda1(g) <= bound of the symmetrized model."""
-        from ballbound import area_from_polar_metric
+        from ballbound.geometry import area_from_polar_metric
 
         grid = RadialGrid(metric.radius, 512)
         area = area_from_polar_metric(metric, grid, 64)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from ballbound import RadialGrid
+from ballbound.geometry import RadialGrid
 from ballbound.quadrature import _pchip, richardson_estimate, richardson_extrapolate
 
 

@@ -1,4 +1,4 @@
-"""Start-up cost: no command loads scipy; everything runs on numpy."""
+"""Start-up cost: no command loads scipy, and the bare package loads nothing."""
 import json
 from pathlib import Path
 
@@ -56,6 +56,20 @@ names = [key for table in tables.values() for key in table]
 missing = [f"{m}.{a}" for m, a in names if not callable(getattr(sys.modules.get(m), a, None))]
 print(json.dumps({"tables": sorted(tables), "names": len(names), "missing": missing}))
 """
+
+
+PACKAGE_IMPORT = """
+import json, sys
+import ballbound
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("ballbound.") or m.split(".")[0] == "numpy")))
+"""
+
+
+def test_package_import_loads_no_module():
+    # each name has one home, its defining module; the package re-exports nothing
+    proc = run_python("-c", PACKAGE_IMPORT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_cli_import_loads_no_dataclasses():
