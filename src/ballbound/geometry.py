@@ -24,8 +24,9 @@ _CHECK_FRACTIONS = np.array([1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0])
 # First Dirichlet eigenvalue of the unit disc (square of the first J0 zero).
 _UNIT_DISC_LAMBDA = 5.783185962946785
 # (radius, angle) points of a 2-D field evaluated at once: whole grid rows, at
-# least one, so that no full field is held (1024 rows at 256 angles).
-_BLOCK = 1 << 18
+# least one, so that no full field is held (256 rows at 256 angles, 512 KiB
+# per float64 field).
+_BLOCK = 1 << 16
 
 
 def unit_sphere_volume(n: int) -> float:

@@ -9,6 +9,7 @@ import pytest
 from ballbound import cli, errors
 from ballbound.cli import REPORT_SCHEMA, main
 from ballbound.exprparse import evaluate
+from ballbound.geometry import RadialGrid, _row_blocks
 
 from conftest import J0_SQUARED, PI_SQUARED, run_python
 
@@ -353,8 +354,10 @@ class TestConfigFiles:
         assert code == 0
         tol = 1e-8  # the default --tol; combined tolerance as in cheng_report
         assert abs(report["bound"] - J0_SQUARED) <= 5.0 * tol * J0_SQUARED + tol
-        # a handful of array evaluations, not one per (node, angle) pair
-        assert len(calls) <= 10
+        # 4 array evaluations as the metric is built, then one per row block
+        # of the default grid and angles, not one per (node, angle) pair
+        grid = RadialGrid(1.0, 4096)
+        assert len(calls) == 4 + len(list(_row_blocks(grid.nodes[1:], 256)))
 
     def test_polar_density_bound_symmetrizes_first(self, tmp_path):
         cfg = tmp_path / "wavy.json"

@@ -381,10 +381,11 @@ class TestRowBlocks:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        # one full 4095 x 256 field is 8 MiB; evaluated whole, the two peaked
-        # at 25 and 16 MiB
-        assert peaks[0] < 10 * 2**20
-        assert peaks[1] < 5.5 * 2**20
+        # one full 4095 x 256 field is 8 MiB and one block of it 0.5 MiB;
+        # evaluated whole, the two peaked at 25 and 16 MiB, in 2^18-point
+        # blocks at 8.05 and 4.09 MiB, in 2^16-point blocks at 2.07 and 1.10 MiB
+        assert peaks[0] < 3 * 2**20
+        assert peaks[1] < 1.6 * 2**20
 
     def test_nonpositive_density_in_a_later_block_names_the_first_t(self):
         def density(r, th):
