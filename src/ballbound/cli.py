@@ -3,7 +3,7 @@
 Subcommands
 -----------
 bound           moment-hierarchy eigenvalue bound (symmetrizing 2-D metrics)
-oracle          independent eigenvalue solver (radial shooting or 2-D FD)
+oracle          independent eigenvalue solver (radial shooting or 2-D finite-volume)
 symmetrize      emit the area/warping tables of the symmetrized metric
 compare         space-form comparison verdict (monotonicity + bound + oracle)
 paper-example   one-shot reproduction of the built-in bumped-disc example

@@ -199,14 +199,15 @@ class PolarStiffness:
     face), ``angular[j-1, i]`` the one between theta_i and theta_{i+1} on
     ring j.  A vector holds the (M-1) x P ring values row by row, then the
     center value.  ``K @ u`` sums conductance times difference over faces,
-    so K is symmetric by construction.
+    so K is symmetric by construction; ``apply`` writes it into a buffer.
     """
 
     def __init__(self, radial: np.ndarray, angular: np.ndarray):
         self.radial = radial
         self.angular = angular
 
-    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+    def apply(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """K u into the contiguous vector ``out``; returns ``out``."""
         rings = u[:-1].reshape(self.angular.shape)
         out_flux = np.empty(self.radial.shape)
         np.subtract(u[-1], rings[0], out=out_flux[0])
@@ -217,14 +218,16 @@ class PolarStiffness:
         np.subtract(rings[:, :-1], rings[:, 1:], out=ang_flux[:, :-1])
         np.subtract(rings[:, -1], rings[:, 0], out=ang_flux[:, -1])
         ang_flux *= self.angular
-        result = np.empty_like(u)
-        out = result[:-1].reshape(rings.shape)
-        np.subtract(out_flux[1:], out_flux[:-1], out=out)
-        out += ang_flux
-        out[:, 1:] -= ang_flux[:, :-1]
-        out[:, 0] -= ang_flux[:, -1]
-        result[-1] = np.sum(out_flux[0])
-        return result
+        out_rings = out[:-1].reshape(rings.shape)
+        np.subtract(out_flux[1:], out_flux[:-1], out=out_rings)
+        out_rings += ang_flux
+        out_rings[:, 1:] -= ang_flux[:, :-1]
+        out_rings[:, 0] -= ang_flux[:, -1]
+        out[-1] = np.sum(out_flux[0])
+        return out
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return self.apply(u, np.empty_like(u))
 
     def averaged_solver(self):
         """Exact solver of K with each conductance averaged over theta.
@@ -248,7 +251,8 @@ class PolarStiffness:
             pivot[j] += lower[j] * c_rad[j - 1]
         inv_pivot = 1.0 / pivot
 
-        def solve(r: np.ndarray) -> np.ndarray:
+        def solve(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            """T^-1 r into ``out`` (a new vector if None), which may be ``r`` itself."""
             y = np.zeros(inv_pivot.shape, dtype=complex)
             y[0, 0] = r[-1]
             np.fft.rfft(r[:-1].reshape(n_ring, n_ang), axis=1, out=y[1:])
@@ -257,7 +261,7 @@ class PolarStiffness:
             y[-1] *= inv_pivot[-1]
             for j in range(n_ring - 1, -1, -1):
                 y[j] = y[j] * inv_pivot[j] - lower[j + 1] * y[j + 1]
-            out = np.empty_like(r)
+            out = np.empty_like(r) if out is None else out
             np.fft.irfft(y[1:], n=n_ang, axis=1, out=out[:-1].reshape(n_ring, n_ang))
             out[-1] = y[0, 0].real / n_ang
             return out
@@ -280,15 +284,18 @@ def build_discrete_laplacian(metric: PolarMetric2D, mesh: Mesh2D):
     theta = dth * np.arange(m_t)
 
     r_face = dr * (np.arange(m_r) + 0.5)
-    rho_face = _density(metric, r_face[:, None], theta[None, :])
-    rho_ring = _density(metric, r_ring[:, None], theta[None, :])
-    rho_ang = _density(metric, r_ring[:, None], (theta + 0.5 * dth)[None, :])
-    rho_center = _density(metric, 0.25 * dr, theta)
+    # one density sample at a time, scaled into its array (times dth < 1, it cannot overflow)
+    c_rad = _density(metric, r_face[:, None], theta[None, :]) * dth
+    mass = np.empty(r_ring.size * m_t + 1)  # ring masses row by row, then the center's
+    np.copyto(mass[:-1].reshape(-1, m_t), _density(metric, r_ring[:, None], theta[None, :]))
+    c_ang = dth * _density(metric, r_ring[:, None], (theta + 0.5 * dth)[None, :])
+    mass[-1] = np.sum(_density(metric, 0.25 * dr, theta)) * 0.5
 
     with np.errstate(all="ignore"):
-        c_rad = rho_face * dth / dr          # conductance across radial faces
-        c_ang = dr / (dth * rho_ang)         # conductance across angular faces
-        mass = np.append(rho_ring * dr * dth, np.sum(rho_center) * 0.5 * dr * dth)
+        c_rad /= dr                          # conductance across radial faces
+        np.divide(dr, c_ang, out=c_ang)      # conductance across angular faces
+        mass *= dr
+        mass *= dth
     if not all(np.all((0.0 < v) & (v < math.inf)) for v in (c_rad, c_ang, mass)):
         raise PrecisionError(
             f"mesh conductances or masses leave the float range at radius {radius:g}"
@@ -317,43 +324,50 @@ def eigen_2d_polar(metric: PolarMetric2D, mesh: Mesh2D, tol: float = 1e-8) -> Ei
     two, which is exact, so only lambda1 itself must be a normal float.
     Iteration stops when the eigenvalue is relatively Cauchy at ``tol`` and
     the relative residual ||K x - lambda M x|| / (lambda ||M x||) is at most
-    2 tol.  The basis and its images under K live in two fixed 3 x N arrays.
+    2 tol.  The working set is the mesh operators, the basis in one fixed
+    3 x N array and one image vector for K and M: about 8 mesh vectors.
     """
     _check_tol(tol)
     stiffness, mass = build_discrete_laplacian(metric, mesh)
     k_exp = math.frexp(max(np.max(stiffness.radial), np.max(stiffness.angular)))[1]
     m_exp = math.frexp(float(np.max(mass)))[1]
-    stiffness = PolarStiffness(*(np.ldexp(c, -k_exp) for c in (stiffness.radial, stiffness.angular)))
-    mass = np.ldexp(mass, -m_exp)
+    for c in (stiffness.radial, stiffness.angular):
+        np.ldexp(c, -k_exp, out=c)
+    np.ldexp(mass, -m_exp, out=mass)
     precondition = stiffness.averaged_solver()
 
-    basis, k_basis = np.zeros((2, 3, mass.size))
-    x, r, kx = basis[0], basis[1], k_basis[0]  # row 1 holds r, then T^-1 r; row 2 holds p
-    x[:] = precondition(mass)
+    basis, image = np.zeros((3, mass.size)), np.empty(mass.size)
+    x, r = basis[0], basis[1]  # row 1 holds r, then T^-1 r; row 2 holds p
+    precondition(mass, out=x)
     _m_normalize(basis[:1], mass)
     lam = None
     for it in range(1, _MAX_LOBPCG_ITERATIONS + 1):
-        kx[:] = stiffness @ x
-        lam_new = float(x @ kx)
+        stiffness.apply(x, image)  # K x: the eigenvalue, the residual and Gram column 0
+        lam_new = float(x @ image)
         np.multiply(lam_new, mass, out=r)
         r *= x
-        np.subtract(kx, r, out=r)
-        residual = float(np.linalg.norm(r)) / (lam_new * float(np.linalg.norm(mass * x)))
+        np.subtract(image, r, out=r)
+        norm_mx = math.sqrt(np.einsum("i,i,i,i->", mass, x, mass, x))
+        residual = float(np.linalg.norm(r)) / (lam_new * norm_mx)
         if lam is not None and abs(lam_new - lam) <= tol * lam_new and residual <= 2.0 * tol:
             break
         lam = lam_new
-        r[:] = precondition(r)
+        precondition(r, out=r)
         m = 1 + _m_normalize(basis[1:], mass)  # p = 0 at first
-        for v, kv in zip(basis[1:m], k_basis[1:m]):
-            kv[:] = stiffness @ v
-        gram_k = basis[:m] @ k_basis[:m].T
-        gram_m = (basis[:m] * mass) @ basis[:m].T
+        gram_k, gram_m = np.empty((2, m, m))
+        for j, v in enumerate(basis[:m]):
+            if j:
+                stiffness.apply(v, image)
+            gram_k[:, j] = basis[:m] @ image
+            gram_m[:, j] = basis[:m] @ np.multiply(mass, v, out=image)
         weights, vectors = np.linalg.eigh(gram_m)
         keep = weights > 1e-10 * weights[-1]  # cut near-dependent directions
         whiten = vectors[:, keep] / np.sqrt(weights[keep])
         _, ritz = np.linalg.eigh(whiten.T @ (0.5 * (gram_k + gram_k.T)) @ whiten)
         coef = whiten @ ritz[:, 0]
-        x[:], basis[2] = coef @ basis[:m], coef[1:] @ basis[1:m]
+        basis[2] = np.dot(coef[1:], basis[1:m], out=image)  # p, then x = coef[0] x + p
+        x *= coef[0]
+        x += image
         _m_normalize(basis[:1], mass)
     else:
         raise ConvergenceError(

@@ -231,20 +231,19 @@ class TestEigen2D:
         assert np.all(res.eigenfunction > 0.0)
 
     def test_peak_memory_is_a_few_mesh_vectors(self):
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            eigen_2d_polar(bumped_disc_metric(3.0), Mesh2D(256, 256))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        # a mesh vector is 0.5 MiB at 256^2; the operators, a basis and its
-        # images under K in fixed 3 x N arrays and the temporaries of one
-        # apply peak at 6.7 MiB, a basis stacked anew each step at 10.2 MiB
-        assert peak < 8 * 2**20
+        metric, mesh = bumped_disc_metric(3.0), Mesh2D(256, 256)
+        peak = traced_peak(lambda: eigen_2d_polar(metric, mesh))
+        # a mesh vector is 0.5 MiB at 256^2; the operators (about 4 vectors),
+        # a 3 x N basis, one image vector and the temporaries of one apply
+        # peak at 5.2 MiB, a second 3 x N array of images under K at 6.7 MiB
+        assert peak < 5.5 * 2**20
+
+    def test_assembly_holds_one_density_sample_at_a_time(self):
+        metric, mesh = bumped_disc_metric(3.0), Mesh2D(256, 256)
+        peak = traced_peak(lambda: oracle.build_discrete_laplacian(metric, mesh))
+        # two conductance arrays and the masses, 0.5 MiB each at 256^2, plus
+        # one density sample: 2.1 MiB; all four samples held at once, 3.5 MiB
+        assert peak < 2.5 * 2**20
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_LOBPCG_ITERATIONS", 3)
@@ -274,6 +273,20 @@ class TestEigen2D:
             Mesh2D(8, 64)
         with pytest.raises(DomainError):
             Mesh2D(64, 15)
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` allocates at its peak above what was traced before it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def stacked_apply(stiffness, u):
@@ -324,9 +337,15 @@ class TestMeshOperators:
         stiffness, mass = oracle.build_discrete_laplacian(metric, Mesh2D(40, 64))
         solve = stiffness.averaged_solver()
         rng = np.random.default_rng(7)
+        buffer = np.empty(mass.size)  # reused across the applies, as LOBPCG reuses its image
         for u in (rng.standard_normal(mass.size), rng.uniform(0.0, 1.0, mass.size)):
             assert np.array_equal(stiffness @ u, stacked_apply(stiffness, u))
+            assert stiffness.apply(u, buffer) is buffer
+            assert np.array_equal(buffer, stacked_apply(stiffness, u))
             assert np.array_equal(solve(u), stacked_averaged_solve(stiffness, u))
+            in_place = u.copy()
+            assert solve(in_place, out=in_place) is in_place
+            assert np.array_equal(in_place, solve(u.copy()))
 
 
 class TestRayleighQuotient:

@@ -9,7 +9,10 @@ checkout's ``perfbench/ops.py`` runs once per tree; then each command of
 which succeed on inputs the benchmark ops never reach, runs once per tree.
 Every run is a fresh ``python -m ballbound.cli`` process with that tree's ``src``
 as PYTHONPATH and ``PYTHONDONTWRITEBYTECODE=1``.  A run differs when its
-exit code, its report without ``timings``, or its stderr differs.  Before
+exit code, its report without ``timings``, or its stderr differs; a report
+that differs is listed by the fields (dotted paths, ``[]`` for any list
+entry) that differ, each with its largest relative difference when both
+values are numbers.  Before
 stderr is compared, a warning's location ``<path>/ballbound/<module>.py:<line>``
 and the source line printed under it are normalized, so code that moved is
 not a difference.  Each differing run is printed; the exit code is 1 if any
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -81,7 +85,8 @@ BUMPED = {"kind": "polar2d", "radius": 3,
 # 384-angle runs on grid 5000 move the edges of the row blocks in which a
 # (radius x angle) field is evaluated; and the 99% angular variation on a
 # 40 x 96 mesh takes LOBPCG through 214 steps, where the benchmark's
-# densities, at most 40% variation, take under 20
+# densities, at most 40% variation, take under 20; and the paper example at
+# 256 x 256 solves on 512 x 512, four times the benchmark's largest mesh
 SUCCESS_PATHS = [
     ("bound grid 16", ["bound", "--builtin", "euclidean", "--grid", "16"], None),
     ("moment grid 8", ["bound", "--builtin", "euclidean", "--grid", "8"], None),
@@ -104,6 +109,7 @@ SUCCESS_PATHS = [
     ("lopsided density oracle mesh 40x96",
      ["oracle", "--config", "{config}", "--mesh", "40x96", "--tol", "1e-10"],
      {"kind": "polar2d", "rho": "r*(1+0.99*sin(theta))", "radius": 1}),
+    ("paper-example mesh 256x256", ["paper-example", "--mesh", "256x256"], None),
 ]
 
 
@@ -131,6 +137,27 @@ def run_op(tree: Path, argv: list[str], cwd: Path) -> tuple:
     return proc.returncode, report, normalize_stderr(proc.stderr)
 
 
+def differing_fields(parent, change, path: str = "") -> dict:
+    """{field path: largest relative difference} where two JSON values differ; the
+    difference is inf unless both values are finite numbers.  List entries share
+    their list's path plus ``[]``."""
+    fields = {}
+    if isinstance(parent, dict) and isinstance(change, dict):
+        for key in parent.keys() | change.keys():
+            inner = f"{path}.{key}" if path else key
+            fields.update(differing_fields(parent.get(key), change.get(key), inner))
+    elif isinstance(parent, list) and isinstance(change, list) and len(parent) == len(change):
+        for a, b in zip(parent, change):
+            for key, rel in differing_fields(a, b, f"{path}[]").items():
+                fields[key] = max(rel, fields.get(key, 0.0))
+    elif parent != change:
+        numbers = [v for v in (parent, change) if type(v) in (int, float) and math.isfinite(v)]
+        fields[path] = (
+            abs(parent - change) / max(map(abs, numbers)) if len(numbers) == 2 else math.inf
+        )
+    return dict(sorted(fields.items()))
+
+
 def describe(parent: tuple, change: tuple) -> list[str]:
     """One line per part of the outcome that differs."""
     lines = []
@@ -138,9 +165,10 @@ def describe(parent: tuple, change: tuple) -> list[str]:
         lines.append(f"exit code {parent[0]} -> {change[0]}")
     if parent[1] != change[1]:
         if isinstance(parent[1], dict) and isinstance(change[1], dict):
-            keys = parent[1].keys() | change[1].keys()
-            keys = sorted(k for k in keys if parent[1].get(k) != change[1].get(k))
-            lines.append(f"report differs in {', '.join(keys)}")
+            fields = differing_fields(parent[1], change[1])
+            lines.append("report differs in " + ", ".join(
+                key if rel == math.inf else f"{key} ({rel:.2g})" for key, rel in fields.items()
+            ))
         else:
             lines.append("stdout differs (not two JSON reports)")
     if parent[2] != change[2]:
