@@ -58,14 +58,22 @@ from .geometry import (
     area_from_warping,
     area_of,
     bumped_disc_metric,
-    euclidean_model,
     space_form_model,
     warping_from_area,
 )
 from .moments import run_until_converged
 from .oracle import Mesh2D, eigen_2d_refined, shoot_radial_lambda1
 
-BUILTINS = ("euclidean", "spherical", "hyperbolic", "paper-example")
+# builtin name -> (its curvature when none is given, None for one that takes
+# none; the dimension it fixes, None for any; its radius when none is given)
+BUILTINS = {
+    "euclidean": (None, None, 1.0),
+    "spherical": (1.0, None, 1.0),
+    "hyperbolic": (-1.0, None, 1.0),
+    "paper-example": (None, 2, 3.0),
+}
+# a builtin id: its name, then optionally a decimal curvature in parentheses
+_BUILTIN_ID = re.compile(r"([a-z-]+)(?:\(([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\))?")
 # kind -> (the config field that specifies the model, the variables its
 # expression reads besides R and kappa)
 KINDS = {
@@ -136,6 +144,9 @@ class ModelConfig:
         "reference_warping": ("str | None", None),
     }
 
+    # (name, curvature) of a builtin: what _builtin_model returns once the fields validate
+    builtin_model: tuple[str, float | None] | None = None
+
     def __init__(self, **fields):
         for name, (_, default) in self.FIELDS.items():
             setattr(self, name, fields.get(name, default))
@@ -168,26 +179,41 @@ class ModelConfig:
             raise ConfigError(f"kappa must be finite, got {self.kappa}")
         if self.kind == "polar2d" and self.dimension != 2:
             raise ConfigError("polar2d metrics require dimension = 2")
-        if self.builtin is not None:
-            name, _ = _split_builtin(self.builtin)
-            if name == "paper-example" and self.dimension != 2:
-                raise ConfigError("the paper-example builtin fixes dimension = 2")
         return self
 
 
-def _split_builtin(spec: str) -> tuple[str, float | None]:
-    m = re.fullmatch(r"([a-z-]+)(?:\(([-+0-9.eE]+)\))?", spec.strip())
+def _builtin_model(cfg: ModelConfig, radius_given: bool) -> tuple[str, float | None]:
+    """Parse the id of a validated builtin config and apply its row of :data:`BUILTINS`.
+
+    Returns the builtin's name and curvature, which comes from the id or from
+    ``kappa``, never from both, and sets the builtin's radius unless one was given.
+    """
+    spec = cfg.builtin
+    m = _BUILTIN_ID.fullmatch(spec.strip())
     if m is None or m.group(1) not in BUILTINS:
         raise ConfigError(
             f"unknown builtin {spec!r}; use one of {', '.join(BUILTINS)}"
             " (curvature in parentheses, e.g. hyperbolic(-1))"
         )
-    kappa = float(m.group(2)) if m.group(2) is not None else None
-    if kappa is not None and m.group(1) not in ("spherical", "hyperbolic"):
-        raise ConfigError(f"builtin {m.group(1)!r} takes no curvature, got {spec!r}")
-    if kappa is not None and not math.isfinite(kappa):
-        raise ConfigError(f"builtin curvature must be finite, got {spec!r}")
-    return m.group(1), kappa
+    name, inline = m.groups()
+    default_kappa, dimension, radius = BUILTINS[name]
+    if default_kappa is None and (inline is not None or cfg.kappa is not None):
+        got = repr(spec) if inline is not None else f"kappa = {cfg.kappa!r}"
+        raise ConfigError(f"builtin {name!r} takes no curvature, got {got}")
+    kappa = default_kappa if cfg.kappa is None else cfg.kappa
+    if inline is not None:
+        if cfg.kappa is not None:
+            raise ConfigError(f"builtin {spec!r} names its curvature; give no kappa as well")
+        kappa = float(inline)
+        if not math.isfinite(kappa):
+            raise ConfigError(f"builtin curvature must be finite, got {spec!r}")
+    if kappa is not None and kappa * default_kappa <= 0.0:
+        raise ConfigError(f"the {name} builtin needs kappa {'>' if default_kappa > 0 else '<'} 0")
+    if dimension is not None and cfg.dimension != dimension:
+        raise ConfigError(f"the {name} builtin fixes dimension = {dimension}")
+    if not radius_given:
+        cfg.radius = radius
+    return name, kappa
 
 
 def _expression_fn(source: str, variables: tuple[str, ...], radius: float, kappa: float):
@@ -218,20 +244,10 @@ def build_target(cfg: ModelConfig) -> AreaFunction | PolarMetric2D:
             return AreaFunction(dimension=cfg.dimension, radius=cfg.radius, eval=fn)
         return PolarMetric2D(radius=cfg.radius, density=fn)
 
-    name, inline_kappa = _split_builtin(cfg.builtin)
-    if name == "euclidean":
-        return euclidean_model(cfg.dimension, cfg.radius)
-    if name in ("spherical", "hyperbolic"):
-        if inline_kappa is not None:
-            kappa = inline_kappa
-        elif cfg.kappa is None:
-            kappa = 1.0 if name == "spherical" else -1.0
-        if name == "spherical" and kappa <= 0.0:
-            raise ConfigError("the spherical builtin needs kappa > 0")
-        if name == "hyperbolic" and kappa >= 0.0:
-            raise ConfigError("the hyperbolic builtin needs kappa < 0")
-        return space_form_model(cfg.dimension, kappa, cfg.radius)
-    return bumped_disc_metric(cfg.radius)
+    name, kappa = cfg.builtin_model
+    if name == "paper-example":
+        return bumped_disc_metric(cfg.radius)
+    return space_form_model(cfg.dimension, 0.0 if kappa is None else kappa, cfg.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +378,7 @@ def cmd_compare(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
 
 def cmd_paper_example(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
     with stage("metric"):
-        metric = bumped_disc_metric(cfg.radius)
+        metric = build_target(cfg)
         grid = RadialGrid(cfg.radius, args.grid)
 
     with stage("area-check"):
@@ -468,10 +484,11 @@ def _parse_mesh(spec: str) -> tuple[int, int]:
 
 
 def _load_config(args) -> ModelConfig:
+    # a subcommand named after a builtin runs that builtin and takes no other model
     fixed = ("config", "builtin", "dimension", "kappa")
     given = [key for key in fixed if getattr(args, key) is not None]
-    if args.command == "paper-example" and given:
-        raise ConfigError(f"paper-example fixes its model; it takes no --{', --'.join(given)}")
+    if args.command in BUILTINS and given:
+        raise ConfigError(f"{args.command} fixes its model; it takes no --{', --'.join(given)}")
     data: dict = {}
     if args.config:
         try:
@@ -479,7 +496,7 @@ def _load_config(args) -> ModelConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -490,21 +507,18 @@ def _load_config(args) -> ModelConfig:
         if args.config:
             raise ConfigError("give either --config or --builtin, not both")
         data = {"kind": "builtin", "builtin": args.builtin}
-    # flags override the file; paper-example fixes every field but the radius,
-    # and under compare, --kappa is the curvature of the reference
-    flags = {"radius": args.radius, "dimension": args.dimension, "kappa": args.kappa}
-    if args.command == "paper-example":
-        data = {"kind": "builtin", "builtin": "paper-example", "name": "paper-example"}
-        flags = {"radius": args.radius}
-    elif args.command == "compare":
-        del flags["kappa"]
+    if args.command in BUILTINS:
+        data = {"kind": "builtin", "builtin": args.command, "name": args.command}
     if not data:
         raise ConfigError("a model is required: pass --config FILE or --builtin ID")
+    # flags override the file; under compare, --kappa is the curvature of the reference
+    flags = {"radius": args.radius, "dimension": args.dimension}
+    if args.command != "compare":
+        flags["kappa"] = args.kappa
     data.update((key, value) for key, value in flags.items() if value is not None)
     cfg = ModelConfig(**data).validate()
-    if cfg.kind == "builtin" and _split_builtin(cfg.builtin)[0] == "paper-example":
-        if "radius" not in data:
-            cfg.radius = 3.0  # the radius of the paper's example
+    if cfg.kind == "builtin":
+        cfg.builtin_model = _builtin_model(cfg, "radius" in data)
     return cfg
 
 

@@ -8,6 +8,8 @@ symmetrized metric.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .geometry import (
@@ -33,45 +35,27 @@ HYPOTHESIS_FAILS = "hypothesis-fails"
 DEFAULT_SLACK = 1e-10
 
 
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Outcome of one bound-versus-reference comparison.
 
     ``converged`` says whether the hierarchy behind ``bound`` met its tolerance.
     """
 
-    def __init__(
-        self,
-        model_id: str,
-        bound: float,
-        reference_lambda: float,
-        monotone_ok: bool,
-        ratio_profile: np.ndarray,
-        radiality: float,
-        verdict: str,
-        combined_tolerance: float,
-        converged: bool,
-    ):
-        self.model_id = model_id
-        self.bound = bound
-        self.reference_lambda = reference_lambda
-        self.monotone_ok = monotone_ok
-        self.ratio_profile = ratio_profile
-        self.radiality = radiality
-        self.verdict = verdict
-        self.combined_tolerance = combined_tolerance
-        self.converged = converged
+    model_id: str
+    bound: float
+    reference_lambda: float
+    monotone_ok: bool
+    ratio_profile: np.ndarray
+    radiality: float
+    verdict: str
+    combined_tolerance: float
+    converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "bound": self.bound,
-            "reference_lambda": self.reference_lambda,
-            "monotone_ok": self.monotone_ok,
-            "ratio_profile": [float(x) for x in self.ratio_profile],
-            "radiality": self.radiality,
-            "verdict": self.verdict,
-            "combined_tolerance": self.combined_tolerance,
-        }
+        """The report's comparison block: every field but ``converged``."""
+        fields = self._asdict()
+        del fields["converged"]
+        return {**fields, "ratio_profile": [float(x) for x in self.ratio_profile]}
 
 
 def monotonicity_check(

@@ -41,10 +41,6 @@ class ConvergenceError(BallboundError, RuntimeError):
 
     exit_code, label = 4, "solver error"
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class PrecisionError(BallboundError, ArithmeticError):
     """A quantity underflowed or lost all significant digits."""

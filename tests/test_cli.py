@@ -668,10 +668,58 @@ class TestConfigContract:
             1, f"error: builtin {name!r} takes no curvature, got {spec!r}\n"
         )
 
+    @staticmethod
+    def run_builtin(tmp_path, capsys, spec, kappa, source):
+        """Exit code and stderr of ``bound`` on builtin ``spec`` with curvature
+        ``kappa`` (None for none), given as flags or in a config file."""
+        if source == "flag":
+            argv = ["--builtin", spec] + ([] if kappa is None else [f"--kappa={kappa!r}"])
+        else:
+            config = {"kind": "builtin", "builtin": spec}
+            if kappa is not None:
+                config["kappa"] = kappa
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", str(cfg)]
+        code = main(["bound", *argv, "--grid", "64", "--theta", "16"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["euclidean", "paper-example"])
+    def test_flat_builtins_take_no_kappa(self, tmp_path, capsys, name, source):
+        # the flat value used to come out beside a kappa the model never read
+        assert self.run_builtin(tmp_path, capsys, name, 5.0, source) == (
+            1, f"error: builtin {name!r} takes no curvature, got kappa = 5.0\n"
+        )
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_curvature_from_the_id_or_kappa_not_both(self, tmp_path, capsys, source):
+        # the id's curvature used to win while the report recorded kappa 3.0
+        assert self.run_builtin(tmp_path, capsys, "spherical(2)", 3.0, source) == (
+            1, "error: builtin 'spherical(2)' names its curvature; give no kappa as well\n"
+        )
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("spec", ["hyperbolic(--1)", "spherical(1e)", "spherical(.)"])
+    def test_malformed_builtin_curvature(self, tmp_path, capsys, spec, source):
+        # these used to crash in float() with a ValueError traceback
+        assert self.run_builtin(tmp_path, capsys, spec, None, source) == (1, (
+            f"error: unknown builtin {spec!r}; use one of euclidean, spherical, hyperbolic,"
+            " paper-example (curvature in parentheses, e.g. hyperbolic(-1))\n"
+        ))
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert (main(["bound", "--config", str(cfg)]), capsys.readouterr().err) == (1, (
+            "error: config file is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte\n"
+        ))
+
     def test_compare_kappa_names_the_reference(self, tmp_path):
-        argv = ["--builtin", "euclidean", "--grid", "256", "--kappa", "-1"]
+        argv = ["--builtin", "hyperbolic", "--grid", "256", "--kappa", "-2"]
         assert self.model_of(tmp_path, "compare", *argv)["kappa"] is None
-        assert self.model_of(tmp_path, "bound", *argv)["kappa"] == -1.0
+        assert self.model_of(tmp_path, "bound", *argv)["kappa"] == -2.0
 
     def test_negative_exponent_kappa_with_equals(self, tmp_path):
         # argparse takes "-1e-3" after a space for a flag; the "=" form is the documented one

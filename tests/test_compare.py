@@ -115,8 +115,7 @@ class TestChengReport:
 
         def shoot_high(model, grid, tol):
             result = shoot(model, grid, tol)
-            result.lambda1 *= 1.0 + 1e-4
-            return result
+            return result._replace(lambda1=result.lambda1 * (1.0 + 1e-4))
 
         monkeypatch.setattr(ballbound.compare, "shoot_radial_lambda1", shoot_high)
         report = cheng_report(euclidean_model(2, 1.0), 0.0, unit_grid, 1e-8)

@@ -67,6 +67,9 @@ ERROR_PATHS = [
     ("paper-example model flags",
      ["paper-example", "--dimension", "3", "--kappa", "5", "--builtin", "euclidean"], None),
     ("builtin curvature", ["bound", "--builtin", "euclidean(2)"], None),
+    ("flat builtin kappa", ["bound", "--builtin", "euclidean", "--kappa", "5"], None),
+    ("builtin curvature twice", ["bound", "--builtin", "spherical(2)", "--kappa", "3"], None),
+    ("malformed builtin curvature", ["bound", "--builtin", "hyperbolic(--1)"], None),
     ("cone warping oracle", ["oracle", "--config", "{config}"],
      {"kind": "warping", "omega": "2*t"}),
     ("sign-changing warping n=3 bound", ["bound", "--config", "{config}"],
