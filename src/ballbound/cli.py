@@ -272,7 +272,7 @@ class Stages(dict):
         self[name] = time.perf_counter() - start
 
 
-def _run_hierarchy(area: AreaFunction, grid: RadialGrid, args, report: dict) -> int:
+def _report_series(area: AreaFunction, grid: RadialGrid, args, report: dict) -> int:
     """Fill the report's series and bound from the hierarchy; exit code 3 if it did not converge."""
     norm, center, mass = run_until_converged(area, grid, args.tol, args.kmax)
     series = {"norm": norm, "center": center, "mass": mass}
@@ -293,7 +293,7 @@ def cmd_bound(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
     with stage("symmetrize"):
         area = area_of(target, grid, args.theta)
     with stage("moments"):
-        code = _run_hierarchy(area, grid, args, report)
+        code = _report_series(area, grid, args, report)
     report["tolerances"] = {"estimator_relative_cauchy": args.tol}
     return code
 
@@ -391,7 +391,7 @@ def cmd_paper_example(args, cfg: ModelConfig, report: dict, stage: Stages) -> in
             )
 
     with stage("bound"):
-        code = _run_hierarchy(area, grid, args, report)
+        code = _report_series(area, grid, args, report)
 
     with stage("oracle-2d"):
         oracle = report["oracle"] = _oracle_2d(metric, args)
@@ -496,7 +496,8 @@ def _load_config(args) -> ModelConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        # malformed JSON, bytes that are not UTF-8, or nesting deeper than the decoder's stack
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -288,7 +288,10 @@ def parse(source: str) -> Expression:
     """Parse expression source text into a tree."""
     if not source or not source.strip():
         raise ExpressionSyntaxError("empty expression", 0)
-    return _Parser(source).parse()
+    try:
+        return _Parser(source).parse()
+    except RecursionError:  # the offset where the stack runs out depends on the caller
+        raise ExpressionSyntaxError("expression nests too deeply", 0) from None
 
 
 # ---------------------------------------------------------------------------

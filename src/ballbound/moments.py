@@ -14,12 +14,12 @@ Dirichlet eigenvalue of the symmetrized ball as their common limit:
 
 Because T_k(0) decays like lambda^-k, every level is renormalized to unit
 center value.  The ratios use each level's own factor T_k(0) / T_{k-1}(0),
-which cannot underflow; :func:`compute_moments` accumulates the factors in
-log scale, from which T_k itself is rebuilt.
+which cannot underflow.  :func:`hierarchy` yields the levels;
+:func:`run_until_converged` is its reader that forms the ratios.  T_k itself
+is prod(center_1..center_k) * level_k.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -33,21 +33,6 @@ CENTER_RATIO = "center-ratio"
 MASS_RATIO = "mass-ratio"
 
 
-class MomentTable(NamedTuple):
-    """Renormalized moment levels on a grid plus accumulated log rescale factors.
-
-    ``levels[k]`` holds T_k / T_k(0) at the grid nodes and ``log_scale[k]``
-    the accumulated log of the stripped factors, so the true level is
-    exp(log_scale[k]) * levels[k].  ``mass[k]`` and ``norm2[k]`` are the
-    integrals of ``levels[k]`` and ``levels[k]**2`` against A.
-    """
-
-    levels: np.ndarray
-    log_scale: np.ndarray
-    mass: np.ndarray
-    norm2: np.ndarray
-
-
 class EstimateSeries(NamedTuple):
     """One eigenvalue-estimator sequence with its stopping metadata."""
 
@@ -59,50 +44,43 @@ class EstimateSeries(NamedTuple):
     rate: float | None = None
 
 
-def _hierarchy(area: AreaFunction, grid: RadialGrid):
+def hierarchy(area: AreaFunction, grid: RadialGrid):
     """Yield (level, center, mass, norm2) for k = 0, 1, 2, ...
 
     ``level`` is T_k / T_k(0), ``center`` the factor T_k(0) / T_{k-1}(0)
     stripped from it (1 at k = 0), and ``mass`` and ``norm2`` are the
     integrals of ``level`` and ``level**2`` against A.  Each level is
-    computed only when it is asked for.  The consumers run it under
-    ``np.errstate(over="ignore", invalid="ignore")``.
+    computed only when it is asked for.  Overflow raises
+    :class:`PrecisionError` rather than a numpy warning.
     """
     a = np.concatenate([[0.0], _area_samples(area, grid, grid.nodes[1:])])
     w = grid.weights
     level, center = np.ones_like(a), 1.0
-    mass = float(w @ (level * a))
-    norm2 = float(w @ (level**2 * a))
+    # numpy's error state is context-wide: no errstate block may span a yield
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = float(w @ (level * a))
+        norm2 = float(w @ (level**2 * a))
     if not math.isfinite(mass + norm2):
         raise PrecisionError(f"the area integral overflows at radius {grid.radius:g}")
     _eigenvalue_scale(area.dimension, grid.radius)  # names a radius whose lambda1 is no float
     while True:
         yield level, center, mass, norm2
-        inner = grid.cumulative(level * a)
-        integrand = np.zeros_like(inner)
-        # (int_0^s T A)/A(s) ~ s * T(0)/n near 0: extend by its limit 0.
-        integrand[1:] = inner[1:] / a[1:]
-        outer = grid.cumulative(integrand)
-        raw = outer[-1] - outer
-        raw[-1] = 0.0
-        center = float(raw[0])
-        if not math.isfinite(center) or center <= 0.0:
-            raise PrecisionError(f"moment level degenerated (center value {center})")
-        level = raw / center
-        mass = float(w @ (level * a))
-        norm2 = float(w @ (level**2 * a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            inner = grid.cumulative(level * a)
+            integrand = np.zeros_like(inner)
+            # (int_0^s T A)/A(s) ~ s * T(0)/n near 0: extend by its limit 0.
+            integrand[1:] = inner[1:] / a[1:]
+            outer = grid.cumulative(integrand)
+            raw = outer[-1] - outer
+            raw[-1] = 0.0
+            center = float(raw[0])
+            if not math.isfinite(center) or center <= 0.0:
+                raise PrecisionError(f"moment level degenerated (center value {center})")
+            level = raw / center
+            mass = float(w @ (level * a))
+            norm2 = float(w @ (level**2 * a))
         if min(mass, norm2) <= 0.0 or not math.isfinite(mass + norm2):
             raise PrecisionError("estimator integrals underflowed; raise N")
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def compute_moments(area: AreaFunction, grid: RadialGrid, levels: int) -> MomentTable:
-    """Build the hierarchy up to level ``levels`` on a uniform grid."""
-    if levels < 0:
-        raise DomainError("number of levels must be non-negative")
-    table, centers, mass, norm2 = zip(*itertools.islice(_hierarchy(area, grid), levels + 1))
-    log_scale = np.cumsum([math.log(c) for c in centers])
-    return MomentTable(np.array(table), log_scale, np.array(mass), np.array(norm2))
 
 
 def _series(kind: str, k_start: int, values: list[float], converged: bool) -> EstimateSeries:
@@ -116,7 +94,6 @@ def _series(kind: str, k_start: int, values: list[float], converged: bool) -> Es
     return EstimateSeries(kind, ks, tuple(values), converged, values[-1], rate)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def run_until_converged(
     area: AreaFunction,
     grid: RadialGrid,
@@ -134,7 +111,7 @@ def run_until_converged(
     _check_tol(tol)
     if k_max < 2:
         raise DomainError("k_max must be at least 2")
-    levels = _hierarchy(area, grid)
+    levels = hierarchy(area, grid)
     _, _, mass_prev, sq_prev = next(levels)
     norms: list[float] = []
     centers: list[float] = []

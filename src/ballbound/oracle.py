@@ -32,7 +32,6 @@ from .geometry import (
     _density,
     _eigenvalue_scale,
 )
-from .quadrature import richardson_estimate, richardson_extrapolate
 
 _MAX_BRACKET_SWEEPS = 64
 # LOBPCG cap of the 2-D solver; r*(1+0.99*sin(theta)) takes 188 at 256^2.
@@ -388,7 +387,8 @@ def eigen_2d_refined(
     """
     coarse = eigen_2d_polar(metric, mesh, tol)
     fine = eigen_2d_polar(metric, mesh.refined(), tol)
-    estimate = richardson_estimate(coarse.lambda1, fine.lambda1, order=2)
-    extrapolated = richardson_extrapolate(coarse.lambda1, fine.lambda1, order=2)
+    # second order: one halving shrinks the error 2^2 = 4 times
+    estimate = abs(coarse.lambda1 - fine.lambda1) / 3.0
+    extrapolated = fine.lambda1 + (fine.lambda1 - coarse.lambda1) / 3.0
     return fine, estimate, extrapolated
 

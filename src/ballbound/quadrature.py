@@ -1,8 +1,7 @@
-"""Interpolation and error estimation helpers.
+"""The shape-preserving cubic interpolant (PCHIP) of sampled areas.
 
-The shape-preserving cubic interpolant (PCHIP) of sampled areas, and
-Richardson error estimates from one mesh halving.  The fourth-order rules
-on the radial grid are methods of :class:`ballbound.geometry.RadialGrid`.
+The fourth-order rules on the radial grid are methods of
+:class:`ballbound.geometry.RadialGrid`.
 """
 from __future__ import annotations
 
@@ -55,12 +54,3 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> Callable:
 
     return evaluate
 
-
-def richardson_estimate(coarse: float, fine: float, order: int) -> float:
-    """Error estimate for the fine-mesh value from one mesh halving."""
-    return abs(coarse - fine) / (2.0**order - 1.0)
-
-
-def richardson_extrapolate(coarse: float, fine: float, order: int) -> float:
-    """Eliminate the leading error term from a coarse/fine value pair."""
-    return fine + (fine - coarse) / (2.0**order - 1.0)

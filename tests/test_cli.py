@@ -716,6 +716,32 @@ class TestConfigContract:
             " in position 0: invalid start byte\n"
         ))
 
+    def test_config_file_nested_too_deeply(self, tmp_path, capsys):
+        # this used to crash json.load with a RecursionError traceback
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[" * 100000)
+        assert (main(["bound", "--config", str(cfg)]), capsys.readouterr().err) == (1, (
+            "error: config file is not valid JSON: maximum recursion depth exceeded"
+            " while decoding a JSON array from a unicode string\n"
+        ))
+
+    @pytest.mark.parametrize("source", ["config", "--ref-warping"])
+    @pytest.mark.parametrize(
+        "expression",
+        ["(" * 2000 + "2*pi*t" + ")" * 2000, "-" * 3000 + "2*pi*t", "t" + "^t" * 3000],
+        ids=["parentheses", "unary-minus", "power-chain"],
+    )
+    def test_expression_nested_too_deeply(self, tmp_path, capsys, source, expression):
+        # these used to crash the recursive-descent parser with a RecursionError traceback
+        if source == "config":
+            code, err = self.run_config(tmp_path, capsys, {"kind": "area", "area": expression})
+        else:
+            code, err = self.run_config(
+                tmp_path, capsys, {"kind": "builtin", "builtin": "euclidean"},
+                f"--ref-warping={expression}", command="compare",
+            )
+        assert (code, err) == (2, "expression error: expression nests too deeply (at offset 0)\n")
+
     def test_compare_kappa_names_the_reference(self, tmp_path):
         argv = ["--builtin", "hyperbolic", "--grid", "256", "--kappa", "-2"]
         assert self.model_of(tmp_path, "compare", *argv)["kappa"] is None

@@ -1,9 +1,11 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ballbound.errors import DomainError, InvalidAreaError
+from ballbound.errors import DomainError, InvalidAreaError, PrecisionError
 from ballbound.geometry import (
     AreaFunction,
     RadialGrid,
@@ -11,7 +13,7 @@ from ballbound.geometry import (
     euclidean_model,
     space_form_warping,
 )
-from ballbound.moments import compute_moments, run_until_converged
+from ballbound.moments import hierarchy, run_until_converged
 from ballbound.oracle import shoot_radial_lambda1
 
 from conftest import J0_SQUARED, PI_SQUARED, model_suite
@@ -21,27 +23,32 @@ def disc_area(radius=1.0):
     return euclidean_model(2, radius)
 
 
+def first_levels(area, grid, count):
+    """The (level, center, mass, norm2) tuples of levels 0 .. count - 1."""
+    return list(itertools.islice(hierarchy(area, grid), count))
+
+
 class TestSymbolicLevels:
     """Hand-integrated levels for A = 2 pi t on [0, 1]."""
 
     def test_level_zero_is_one(self, unit_grid):
-        table = compute_moments(disc_area(), unit_grid, 1)
-        assert np.all(table.levels[0] == 1.0)
-        assert table.log_scale[0] == 0.0
+        level, center, _, _ = first_levels(disc_area(), unit_grid, 1)[0]
+        assert np.all(level == 1.0)
+        assert center == 1.0
 
     def test_first_level_quarter_parabola(self, unit_grid):
         # T_1(t) = int_t^1 (s/2) ds = (1 - t^2)/4
-        table = compute_moments(disc_area(), unit_grid, 1)
+        level, center, _, _ = first_levels(disc_area(), unit_grid, 2)[1]
         t = unit_grid.nodes
-        level = math.exp(table.log_scale[1]) * table.levels[1]
+        level = center * level
         assert np.max(np.abs(level - (1.0 - t**2) / 4.0)) < 1e-8
 
     def test_second_level_center_value(self, unit_grid):
         # T_2(t) = (3 - 4 t^2 + t^4)/64, so T_2(0) = 3/64
-        table = compute_moments(disc_area(), unit_grid, 2)
-        assert math.exp(table.log_scale[2]) == pytest.approx(3.0 / 64.0, abs=1e-8)
+        _, (_, c1, _, _), (level, c2, _, _) = first_levels(disc_area(), unit_grid, 3)
+        assert c1 * c2 == pytest.approx(3.0 / 64.0, abs=1e-8)
         t = unit_grid.nodes
-        level = math.exp(table.log_scale[2]) * table.levels[2]
+        level = c1 * c2 * level
         assert np.max(np.abs(level - (3.0 - 4.0 * t**2 + t**4) / 64.0)) < 1e-8
 
     def test_center_ratios(self, unit_grid):
@@ -62,9 +69,7 @@ class TestLevelShape:
     @pytest.mark.parametrize("label,model", model_suite())
     def test_positivity_and_monotonicity(self, label, model):
         grid = RadialGrid(model.radius, 128)
-        table = compute_moments(model, grid, 6)
-        for k in range(1, 7):
-            level = table.levels[k]
+        for level, _, _, _ in first_levels(model, grid, 7)[1:]:
             assert level[0] == 1.0
             assert level[-1] == 0.0
             assert np.all(level[:-1] > 0.0)
@@ -163,8 +168,21 @@ class TestStoppingAndErrors:
         norm, _, _ = run_until_converged(disc_area(), unit_grid, 1e-14, 5)
         assert not norm.converged and len(calls) == 2 * 5
         calls.clear()
-        table = compute_moments(disc_area(), unit_grid, 3)
-        assert len(table.levels) == 4 and len(calls) == 2 * 3
+        assert len(first_levels(disc_area(), unit_grid, 4)) == 4 and len(calls) == 2 * 3
+
+    def test_overflow_raises_without_a_numpy_warning(self):
+        # read outside any np.errstate: the generator sets its own around its numpy work
+        levels = hierarchy(euclidean_model(2, 1e160), RadialGrid(1e160, 64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match="the area integral overflows"):
+                next(levels)
+
+    def test_error_state_does_not_leak_into_the_reader(self, unit_grid):
+        before = np.geterr()
+        # checked while the generator is suspended at each of its first three yields
+        for _ in itertools.islice(hierarchy(disc_area(), unit_grid), 3):
+            assert np.geterr() == before
 
     def test_rate_diagnostic_is_reported(self, unit_grid):
         _, center, _ = run_until_converged(disc_area(), unit_grid, 1e-10, 200)
@@ -189,7 +207,7 @@ class TestStoppingAndErrors:
 
         bad = AreaFunction(dimension=2, radius=1.0, eval=dented)
         with pytest.raises(InvalidAreaError):
-            compute_moments(bad, unit_grid, 1)
+            first_levels(bad, unit_grid, 2)
 
     def test_bad_arguments(self, unit_grid):
         with pytest.raises(DomainError):

@@ -189,6 +189,14 @@ class TestEigen2D:
         assert 0.3 * true_err <= estimate <= 3.0 * true_err
         assert abs(extrapolated - J0_SQUARED) < 0.1 * true_err
 
+    def test_refined_pair_is_order_two_richardson(self):
+        # one mesh halving of the second-order scheme: the error shrinks 2^2 = 4 times
+        flat = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
+        coarse = eigen_2d_polar(flat, Mesh2D(16, 16), 1e-9).lambda1
+        fine, estimate, extrapolated = eigen_2d_refined(flat, Mesh2D(16, 16), 1e-9)
+        assert estimate == abs(coarse - fine.lambda1) / 3.0
+        assert extrapolated == fine.lambda1 + (fine.lambda1 - coarse) / 3.0
+
     def test_bumped_disc_sits_strictly_below_flat_value(self):
         fine, estimate, extrapolated = eigen_2d_refined(
             bumped_disc_metric(3.0), Mesh2D(64, 64), 1e-8

@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from ballbound.geometry import RadialGrid
-from ballbound.quadrature import _pchip, richardson_estimate, richardson_extrapolate
+from ballbound.quadrature import _pchip
 
 
 def test_weights_sum_to_interval_and_stay_positive():
@@ -85,11 +85,4 @@ def test_pchip_plateau_of_signed_zeros():
     points = np.linspace(0.0, 5.0, 101)
     expect = PchipInterpolator(x, y)(points)
     assert np.array_equal(_pchip(x, y)(points), expect)
-
-
-def test_richardson_helpers():
-    # second-order sequence: v(h) = 1 + h^2
-    coarse, fine = 1.0 + 0.04, 1.0 + 0.01
-    assert abs(richardson_estimate(coarse, fine, 2) - 0.01) < 1e-15
-    assert abs(richardson_extrapolate(coarse, fine, 2) - 1.0) < 1e-15
 

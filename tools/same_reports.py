@@ -49,7 +49,8 @@ DIP = {"kind": "polar2d", "radius": 1,
        "rho": "r*(1-3*exp(-((r-0.35)/0.02)^2-((theta-0.1)/0.05)^2))"}
 
 # (label, CLI arguments, config written to "{config}" or None): commands that
-# end in an error, whose exit code and stderr the benchmark ops never show
+# end in an error, whose exit code and stderr the benchmark ops never show; a
+# config given as a string is written as it is, not as JSON
 ERROR_PATHS = [
     ("subnormal radius", ["bound", "--builtin", "euclidean", "--radius", "1e-320"], None),
     ("oracle dimension 90", ["oracle", "--builtin", "euclidean", "--dimension", "90"], None),
@@ -77,6 +78,9 @@ ERROR_PATHS = [
     ("cone density bound", ["bound", "--config", "{config}"], CONE),
     ("cone density oracle", ["oracle", "--config", "{config}"], CONE),
     ("dip density bound", ["bound", "--config", "{config}"], DIP),
+    ("deeply nested config", ["bound", "--config", "{config}"], "[" * 100000),
+    ("deeply nested reference warping",
+     ["compare", "--builtin", "euclidean", "--ref-warping", "(" * 2000 + "t" + ")" * 2000], None),
 ]
 
 WAVY = {"kind": "polar2d", "rho": "sinh(r)*(1+0.2*sin(2*theta))", "radius": 2}
@@ -205,7 +209,7 @@ def main(argv=None) -> int:
         path = work / "config.json"
         for label, argv, config in runs:
             if config is not None:
-                path.write_text(json.dumps(config))
+                path.write_text(config if isinstance(config, str) else json.dumps(config))
             cli = [str(path) if a == "{config}" else a for a in argv]
             parent, change = (run_op(tree, cli, work) for tree in trees)
             lines = describe(parent, change)
