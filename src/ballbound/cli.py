@@ -20,11 +20,12 @@ bound           symmetrize, moments
 oracle          oracle
 symmetrize      symmetrize
 compare         compare
-paper-example   metric, area-check, bound, oracle-2d, sharpness
+paper-example   area-check, bound, oracle-2d, sharpness
 
-An error raised inside a stage names it, e.g. ``invalid input: stage
-'oracle' failed: ...``; one found while the model is built, before the
-first stage, has no stage prefix.
+Every model of a run, ``compare``'s reference included, is built once before
+the first stage.  An error raised inside a stage names it, e.g. ``invalid
+input: stage 'oracle' failed: ...``; one found while a model is built has no
+stage prefix.
 
 Exit codes: 0 success, 1 configuration error, 2 usage/expression syntax
 error, 3 bound not supported (estimators did not converge, or ``compare``
@@ -59,6 +60,7 @@ from .geometry import (
     area_of,
     bumped_disc_metric,
     space_form_model,
+    space_form_warping,
     warping_from_area,
 )
 from .moments import run_until_converged
@@ -144,9 +146,6 @@ class ModelConfig:
         "reference_warping": ("str | None", None),
     }
 
-    # (name, curvature) of a builtin: what _builtin_model returns once the fields validate
-    builtin_model: tuple[str, float | None] | None = None
-
     def __init__(self, **fields):
         for name, (_, default) in self.FIELDS.items():
             setattr(self, name, fields.get(name, default))
@@ -182,7 +181,7 @@ class ModelConfig:
         return self
 
 
-def _builtin_model(cfg: ModelConfig, radius_given: bool) -> tuple[str, float | None]:
+def _parse_builtin(cfg: ModelConfig, radius_given: bool) -> tuple[str, float | None]:
     """Parse the id of a validated builtin config and apply its row of :data:`BUILTINS`.
 
     Returns the builtin's name and curvature, which comes from the id or from
@@ -231,9 +230,9 @@ def _expression_fn(source: str, variables: tuple[str, ...], radius: float, kappa
     return fn
 
 
-def build_target(cfg: ModelConfig) -> AreaFunction | PolarMetric2D:
+def build_target(cfg: ModelConfig, radius_given: bool) -> AreaFunction | PolarMetric2D:
     """Materialize the geometry object of a validated config: a 2-D metric, or the
-    area function of a radial model (a builtin, a warping or an area)."""
+    area function of a radial model (a builtin, by :func:`_parse_builtin`, a warping or an area)."""
     kappa = cfg.kappa if cfg.kappa is not None else 0.0
     if cfg.kind != "builtin":
         field, variables = KINDS[cfg.kind]
@@ -244,7 +243,7 @@ def build_target(cfg: ModelConfig) -> AreaFunction | PolarMetric2D:
             return AreaFunction(dimension=cfg.dimension, radius=cfg.radius, eval=fn)
         return PolarMetric2D(radius=cfg.radius, density=fn)
 
-    name, kappa = cfg.builtin_model
+    name, kappa = _parse_builtin(cfg, radius_given)
     if name == "paper-example":
         return bumped_disc_metric(cfg.radius)
     return space_form_model(cfg.dimension, 0.0 if kappa is None else kappa, cfg.radius)
@@ -287,9 +286,8 @@ def _report_series(area: AreaFunction, grid: RadialGrid, args, report: dict) -> 
     return 0 if report["series"]["converged"] else 3
 
 
-def cmd_bound(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
+def cmd_bound(args, cfg: ModelConfig, target, report: dict, stage: Stages) -> int:
     grid = RadialGrid(cfg.radius, args.grid)
-    target = build_target(cfg)
     with stage("symmetrize"):
         area = area_of(target, grid, args.theta)
     with stage("moments"):
@@ -311,8 +309,7 @@ def _oracle_2d(metric: PolarMetric2D, args) -> dict:
     }
 
 
-def cmd_oracle(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
-    target = build_target(cfg)
+def cmd_oracle(args, cfg: ModelConfig, target, report: dict, stage: Stages) -> int:
     with stage("oracle"):
         if isinstance(target, PolarMetric2D):
             report["oracle"] = _oracle_2d(target, args)
@@ -332,9 +329,8 @@ def cmd_oracle(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
     return 0
 
 
-def cmd_symmetrize(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
+def cmd_symmetrize(args, cfg: ModelConfig, target, report: dict, stage: Stages) -> int:
     grid = RadialGrid(cfg.radius, args.grid)
-    target = build_target(cfg)
     with stage("symmetrize"):
         area = area_of(target, grid, args.theta)
         warping = warping_from_area(area)
@@ -347,13 +343,13 @@ def cmd_symmetrize(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
     return 0
 
 
-def cmd_compare(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
+def cmd_compare(args, cfg: ModelConfig, target, report: dict, stage: Stages) -> int:
     grid = RadialGrid(cfg.radius, args.grid)
-    target = build_target(cfg)
     kappa_ref = args.kappa if args.kappa is not None else 0.0
     ref_warping = args.ref_warping or cfg.reference_warping
-    reference = kappa_ref
-    if ref_warping is not None:
+    if ref_warping is None:
+        reference = space_form_warping(kappa_ref, cfg.radius)
+    else:
         reference = _expression_fn(ref_warping, KINDS["warping"][1], cfg.radius, kappa_ref)
     with stage("compare"):
         outcome = cheng_report(
@@ -376,11 +372,8 @@ def cmd_compare(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
     return 0 if supported else 3
 
 
-def cmd_paper_example(args, cfg: ModelConfig, report: dict, stage: Stages) -> int:
-    with stage("metric"):
-        metric = build_target(cfg)
-        grid = RadialGrid(cfg.radius, args.grid)
-
+def cmd_paper_example(args, cfg: ModelConfig, metric, report: dict, stage: Stages) -> int:
+    grid = RadialGrid(cfg.radius, args.grid)
     with stage("area-check"):
         area = area_from_polar_metric(metric, grid, args.theta)
         expected = 2.0 * math.pi * grid.nodes
@@ -483,7 +476,7 @@ def _parse_mesh(spec: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _load_config(args) -> ModelConfig:
+def _load_config(args) -> tuple[ModelConfig, AreaFunction | PolarMetric2D]:
     # a subcommand named after a builtin runs that builtin and takes no other model
     fixed = ("config", "builtin", "dimension", "kappa")
     given = [key for key in fixed if getattr(args, key) is not None]
@@ -518,9 +511,7 @@ def _load_config(args) -> ModelConfig:
         flags["kappa"] = args.kappa
     data.update((key, value) for key, value in flags.items() if value is not None)
     cfg = ModelConfig(**data).validate()
-    if cfg.kind == "builtin":
-        cfg.builtin_model = _builtin_model(cfg, "radius" in data)
-    return cfg
+    return cfg, build_target(cfg, "radius" in data)
 
 
 def _series_csv(report: dict) -> str:
@@ -575,7 +566,7 @@ def main(argv=None) -> int:
     stage = Stages()
     try:
         args.mesh = _parse_mesh(args.mesh)
-        cfg = _load_config(args)
+        cfg, target = _load_config(args)
         report = {
             "config": {
                 "model": {name: getattr(cfg, name) for name in cfg.FIELDS},
@@ -592,7 +583,7 @@ def main(argv=None) -> int:
             "table": None,
             "tolerances": {},
         }
-        code = args.handler(args, cfg, report, stage)
+        code = args.handler(args, cfg, target, report, stage)
     except BallboundError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

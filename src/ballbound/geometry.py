@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidAreaError, InvalidMetricError, PrecisionError
-from .quadrature import _pchip
 
 # Relative radii used to spot-check positivity/limit invariants at build time.
 _CHECK_FRACTIONS = np.array([1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0])
@@ -300,15 +299,19 @@ def area_from_warping(dimension: int, radius: float, warping: Callable) -> AreaF
 
 
 def warping_from_area(area: AreaFunction) -> Callable:
-    """Invert the model-area relation: w(t) = (A(t)/vol(S^(n-1)))^(1/(n-1))."""
+    """Invert the model-area relation: w(t) = (A(t)/vol(S^(n-1)))^(1/(n-1)), with A
+    finite and positive at t > 0 by the area's rules, and w(0) = 0 by the centre law."""
     n = area.dimension
     vol = unit_sphere_volume(n)
 
     def w_eval(t):
-        a = _eval_on(area.eval, t)
-        if np.any(a < -1e-12 * max(1.0, float(np.max(np.abs(a))))):
-            raise InvalidAreaError("area function is negative on the requested points")
-        return (np.clip(a, 0.0, None) / vol) ** (1.0 / (n - 1))
+        t = np.asarray(t, dtype=float)
+        with np.errstate(all="ignore"):
+            a = _eval_on(area.eval, t)
+        inner = t > 0.0
+        _require_finite(a[inner], t[inner])
+        _require_positive(a[inner], t[inner], n)
+        return np.where(inner, a / vol, 0.0) ** (1.0 / (n - 1))
 
     return w_eval
 
@@ -329,6 +332,51 @@ def _row_blocks(t: np.ndarray, m_theta: int):
     """Consecutive radii of ``t`` as columns of at most ``_BLOCK // m_theta`` rows, at least one."""
     rows = max(1, _BLOCK // m_theta)
     return (t[i : i + rows, None] for i in range(0, len(t), rows))
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """Three-point one-sided end slope, limited to keep the end monotone (Moler 2004)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> Callable:
+    """Shape-preserving piecewise-cubic Hermite interpolant of y at increasing nodes x.
+
+    Node slopes are the weighted harmonic mean of the adjacent secants, 0
+    where they change sign or one vanishes (Fritsch & Butland 1984), with
+    one-sided end slopes; slopes, coefficients and evaluation follow
+    ``scipy.interpolate.PchipInterpolator`` operation by operation, so the
+    values agree to the bit.  Needs at least three nodes; points are clamped
+    to [x[0], x[-1]].
+    """
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def evaluate(points):
+        p = np.clip(np.asarray(points, dtype=float), x[0], x[-1])
+        i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
+        s = p - x[i]
+        with np.errstate(all="ignore"):  # like scipy's compiled loop, overflow is silent
+            return c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+
+    return evaluate
 
 
 def area_from_polar_metric(

@@ -195,8 +195,8 @@ class PolarStiffness:
     angle theta_i (k = 0 joins ring 1 to the center, k = M-1 is the Dirichlet
     face), ``angular[j-1, i]`` the one between theta_i and theta_{i+1} on
     ring j.  A vector holds the (M-1) x P ring values row by row, then the
-    center value.  ``K @ u`` sums conductance times difference over faces,
-    so K is symmetric by construction; ``apply`` writes it into a buffer.
+    center value.  ``apply`` writes K u, the sum of conductance times
+    difference over faces, into a buffer, so K is symmetric by construction.
     """
 
     def __init__(self, radial: np.ndarray, angular: np.ndarray):
@@ -223,9 +223,6 @@ class PolarStiffness:
         out[-1] = np.sum(out_flux[0])
         return out
 
-    def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        return self.apply(u, np.empty_like(u))
-
     def averaged_solver(self):
         """Exact solver of K with each conductance averaged over theta.
 
@@ -248,8 +245,8 @@ class PolarStiffness:
             pivot[j] += lower[j] * c_rad[j - 1]
         inv_pivot = 1.0 / pivot
 
-        def solve(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            """T^-1 r into ``out`` (a new vector if None), which may be ``r`` itself."""
+        def solve(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+            """T^-1 r into ``out``, which may be ``r`` itself; returns ``out``."""
             y = np.zeros(inv_pivot.shape, dtype=complex)
             y[0, 0] = r[-1]
             np.fft.rfft(r[:-1].reshape(n_ring, n_ang), axis=1, out=y[1:])
@@ -258,7 +255,6 @@ class PolarStiffness:
             y[-1] *= inv_pivot[-1]
             for j in range(n_ring - 1, -1, -1):
                 y[j] = y[j] * inv_pivot[j] - lower[j + 1] * y[j + 1]
-            out = np.empty_like(r) if out is None else out
             np.fft.irfft(y[1:], n=n_ang, axis=1, out=out[:-1].reshape(n_ring, n_ang))
             out[-1] = y[0, 0].real / n_ang
             return out

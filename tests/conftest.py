@@ -223,11 +223,12 @@ def operator_defects(metric: PolarMetric2D, mesh: Mesh2D) -> tuple[float, float,
     u, v = np.random.default_rng(20240601).standard_normal((2, mass.size))
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
+    ku, kv = (stiffness.apply(w, np.empty_like(w)) for w in (u, v))
     mismatch = max(
-        float(np.linalg.norm(stiffness @ w - reference @ w) / np.linalg.norm(reference @ w))
-        for w in (u, v)
+        float(np.linalg.norm(kw - reference @ w) / np.linalg.norm(reference @ w))
+        for w, kw in ((u, ku), (v, kv))
     )
-    asymmetry = abs(float(u @ (stiffness @ v) - (stiffness @ u) @ v))
+    asymmetry = abs(float(u @ kv - ku @ v))
     scale = float(np.max(np.abs(reference.data)))
     return mismatch, asymmetry / scale, np.array_equal(mass, reference_mass) and bool(np.all(mass > 0))
 

@@ -995,6 +995,16 @@ class TestOutputsAndCodes:
         cfg.write_text(json.dumps({"kind": "warping", "omega": "2*t", "radius": 1.0}))
         assert main(["bound", "--config", str(cfg)]) == 5
 
+    def test_symmetrize_holds_the_area_to_the_positivity_rule(self, tmp_path, capsys):
+        # A vanishes at t = 0.375, a grid node, between the probes made when the area is built
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps(
+            {"kind": "area", "dimension": 2, "area": "2*pi*t*((t-0.375)/0.375)^2"}
+        ))
+        assert main(["symmetrize", "--config", str(cfg)]) == 5
+        err = capsys.readouterr().err
+        assert err == "invalid input: stage 'symmetrize' failed: A must be positive on (0, R]\n"
+
     def test_spherical_radius_past_pole_rejected(self, tmp_path):
         code = main(
             ["bound", "--builtin", "spherical(1.0)", "--radius", "3.2", "--grid", "64"]
@@ -1019,7 +1029,7 @@ class TestStageRunner:
         "symmetrize": ("symmetrize", ["--builtin", "euclidean"], ["symmetrize"]),
         "compare": ("compare", ["--builtin", "euclidean", "--kappa", "-1"], ["compare"]),
         "paper-example": (
-            "paper-example", [], ["metric", "area-check", "bound", "oracle-2d", "sharpness"]
+            "paper-example", [], ["area-check", "bound", "oracle-2d", "sharpness"]
         ),
     }
 
@@ -1067,6 +1077,22 @@ class TestStageRunner:
         err = capsys.readouterr().err
         assert err.startswith(f"invalid input: stage '{stage}' failed: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["paper-example", "--radius", "1e-320"],
+             "radius 1e-320 is too small: 1e-6 R is not a normal float"),
+            (["paper-example", "--grid", "4"], "need at least 8 intervals, got 4"),
+            (["compare", "--builtin", "euclidean", "--kappa", "100"],
+             "radius 1.0 reaches the conjugate locus pi/sqrt(kappa) = 0.3141592653589793"),
+        ],
+        ids=["paper-example-radius-1e-320", "paper-example-grid-4", "compare-kappa-100"],
+    )
+    def test_models_are_built_before_the_first_stage(self, capsys, argv, message):
+        # the paper example's metric and grid, and compare's reference warping
+        assert main(argv) == 5
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
 
     @pytest.mark.parametrize("dimension", ["400", str(10**20)])
     @pytest.mark.parametrize(

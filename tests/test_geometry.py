@@ -177,6 +177,16 @@ class TestWarpingAreaRoundTrip:
         w3 = warping_from_area(area3)
         assert float(_eval_on(w3, 1.0)) == pytest.approx(math.sinh(1.0), rel=1e-13)
 
+    def test_inversion_holds_the_area_to_the_positivity_rule(self):
+        # zero at t = 0.375 only, between the probes made when the area is built
+        area = AreaFunction(
+            dimension=2, radius=1.0, eval=lambda t: 2.0 * math.pi * t * ((t - 0.375) / 0.375) ** 2
+        )
+        w = warping_from_area(area)
+        assert float(_eval_on(w, 0.0)) == 0.0
+        with pytest.raises(InvalidAreaError, match=r"A must be positive on \(0, R\]"):
+            w(RadialGrid(1.0, 4096).nodes)
+
     def test_sampled_inversion(self):
         grid = RadialGrid(math.pi / 2, 128)
         metric = polar_metric_from_warping(space_form_warping(1.0, math.pi / 2), math.pi / 2)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from ballbound.geometry import RadialGrid
-from ballbound.quadrature import _pchip
+from ballbound.geometry import RadialGrid, _pchip
 
 
 def test_weights_sum_to_interval_and_stay_positive():

@@ -81,6 +81,12 @@ ERROR_PATHS = [
     ("deeply nested config", ["bound", "--config", "{config}"], "[" * 100000),
     ("deeply nested reference warping",
      ["compare", "--builtin", "euclidean", "--ref-warping", "(" * 2000 + "t" + ")" * 2000], None),
+    ("paper-example radius 1e-320", ["paper-example", "--radius", "1e-320"], None),
+    ("paper-example grid 4", ["paper-example", "--grid", "4"], None),
+    ("compare reference past its conjugate locus",
+     ["compare", "--builtin", "euclidean", "--kappa", "100"], None),
+    ("zero area at a node symmetrize", ["symmetrize", "--config", "{config}"],
+     {"kind": "area", "dimension": 2, "area": "2*pi*t*((t-0.375)/0.375)^2"}),
 ]
 
 WAVY = {"kind": "polar2d", "rho": "sinh(r)*(1+0.2*sin(2*theta))", "radius": 2}
