@@ -22,10 +22,11 @@ symmetrize      symmetrize
 compare         compare
 paper-example   area-check, bound, oracle-2d, sharpness
 
-Every model of a run, ``compare``'s reference included, is built once before
-the first stage.  An error raised inside a stage names it, e.g. ``invalid
-input: stage 'oracle' failed: ...``; one found while a model is built has no
-stage prefix.
+Every model of a run is built once, before the first stage; ``compare``'s
+reference is built there as its area function, which is held, like any
+area, to the centre law and to finite, positive values at its probe radii.
+An error raised inside a stage names it, e.g. ``invalid input: stage
+'oracle' failed: ...``; one found while a model is built has no stage prefix.
 
 Exit codes: 0 success, 1 configuration error, 2 usage/expression syntax
 error, 3 bound not supported (estimators did not converge, or ``compare``
@@ -53,7 +54,6 @@ from .geometry import (
     AreaFunction,
     PolarMetric2D,
     RadialGrid,
-    _circle_curvature,
     _eval_on,
     area_from_polar_metric,
     area_from_warping,
@@ -348,13 +348,14 @@ def cmd_compare(args, cfg: ModelConfig, target, report: dict, stage: Stages) -> 
     kappa_ref = args.kappa if args.kappa is not None else 0.0
     ref_warping = args.ref_warping or cfg.reference_warping
     if ref_warping is None:
-        reference = space_form_warping(kappa_ref, cfg.radius)
+        warping = space_form_warping(kappa_ref, cfg.radius)
     else:
-        reference = _expression_fn(ref_warping, KINDS["warping"][1], cfg.radius, kappa_ref)
+        warping = _expression_fn(ref_warping, KINDS["warping"][1], cfg.radius, kappa_ref)
+    area_ref = area_from_warping(cfg.dimension, cfg.radius, warping)
     with stage("compare"):
         outcome = cheng_report(
             target,
-            reference,
+            area_ref,
             grid,
             args.tol,
             m_theta=args.theta,
@@ -390,18 +391,15 @@ def cmd_paper_example(args, cfg: ModelConfig, metric, report: dict, stage: Stage
         oracle = report["oracle"] = _oracle_2d(metric, args)
 
     with stage("sharpness"):
-        spread, mean = _circle_curvature(metric, grid, args.theta)
-        sharp = equality_criterion(
-            metric, grid, args.theta, max(args.tol, 1e-9), (spread, mean), area
-        )
+        radiality, sharp = equality_criterion(metric, area, grid, args.theta, max(args.tol, 1e-9))
         gap = report["bound"] - oracle["lambda1"]
         report["comparison"] = {
             "area_max_error": area_err,
             "gap": gap,
             "gap_extrapolated": report["bound"] - oracle["lambda1_extrapolated"],
             "strict_inequality": bool(gap > oracle["richardson"]),
-            "radiality": float(np.max(spread)),
-            "equality_criterion": bool(sharp),
+            "radiality": radiality,
+            "equality_criterion": sharp,
         }
     report["tolerances"] = {
         "estimator_relative_cauchy": args.tol,

@@ -12,17 +12,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DomainError
 from .geometry import (
     AreaFunction,
     PolarMetric2D,
     RadialGrid,
     _area_samples,
     _circle_curvature,
-    area_from_polar_metric,
-    area_from_warping,
     area_of,
     radiality_deviation,
-    space_form_warping,
 )
 from .moments import run_until_converged
 from .oracle import shoot_radial_lambda1
@@ -78,15 +76,9 @@ def monotonicity_check(
     return ok, profile
 
 
-def _reference_warping(reference, radius: float):
-    if callable(reference):
-        return reference
-    return space_form_warping(float(reference), radius)
-
-
 def cheng_report(
     target,
-    kappa,
+    area_ref: AreaFunction,
     grid: RadialGrid,
     tol: float = 1e-8,
     *,
@@ -95,24 +87,24 @@ def cheng_report(
     model_id: str = "model",
 ) -> ComparisonReport:
     """Compare the symmetrization bound of ``target``, an area function or a
-    2-D metric, against a reference model.
+    2-D metric, against the reference model of sphere area ``area_ref``.
 
-    ``kappa`` is either a space-form curvature or the warping callable of a
-    general reference model.  The verdict is ``hypothesis-fails`` when the
-    area-ratio monotonicity fails, ``bound-below-reference`` when the areas
-    agree within ``DEFAULT_SLACK`` yet the bound lies below the reference eigenvalue
-    by more than the combined tolerance, ``equality-candidate`` when bound,
-    reference and the radiality test agree within tolerance, and
+    The two areas must share a dimension.  The verdict is ``hypothesis-fails``
+    when the area-ratio monotonicity fails, ``bound-below-reference`` when the
+    areas agree within ``DEFAULT_SLACK`` yet the bound lies below the reference
+    eigenvalue by more than the combined tolerance, ``equality-candidate`` when
+    bound, reference and the radiality test agree within tolerance, and
     ``bound-holds`` otherwise.  ``converged`` is false when the hierarchy
     ran out of ``k_max`` levels, so ``bound`` is unsupported.
     """
     area_g = area_of(target, grid, m_theta)
+    if area_ref.dimension != area_g.dimension:
+        raise DomainError(
+            f"reference dimension {area_ref.dimension} differs from the model's {area_g.dimension}"
+        )
     deviation = 0.0
     if isinstance(target, PolarMetric2D):
         deviation = radiality_deviation(target, grid, m_theta)
-    area_ref = area_from_warping(
-        area_g.dimension, grid.radius, _reference_warping(kappa, grid.radius)
-    )
 
     monotone_ok, profile = monotonicity_check(area_g, area_ref, grid)
     norm_series, _, _ = run_until_converged(area_g, grid, tol, k_max)
@@ -144,26 +136,23 @@ def cheng_report(
 
 def equality_criterion(
     metric: PolarMetric2D,
+    area: AreaFunction,
     grid: RadialGrid,
     m_theta: int,
     tol: float,
-    curvature: tuple[np.ndarray, np.ndarray] | None = None,
-    area: AreaFunction | None = None,
-) -> bool:
-    """Sharpness test for a 2-D metric.
+) -> tuple[float, bool]:
+    """Sharpness test for a 2-D metric whose symmetrized area on ``grid`` is ``area``.
 
-    True iff the mean curvature of every interior circle is radial to within
-    ``tol`` and its radial value matches w'/w = A'/A of the symmetrized metric.
-    ``curvature`` is the per-circle angular spread and mean of H on the
-    interior nodes, when the caller already has them from
-    ``geometry._circle_curvature``, and ``area`` the metric's
-    ``area_from_polar_metric`` on the same grid.
+    Returns the radiality, the largest angular spread of the mean curvature
+    over the interior circles, and whether the metric is sharp: every such
+    spread is within ``tol`` and each circle's angular mean of H matches
+    w'/w = A'/A of the symmetrized metric within ``tol``.
     """
-    spread, mean = _circle_curvature(metric, grid, m_theta) if curvature is None else curvature
-    if np.max(spread) > tol:
-        return False
-    area = area_from_polar_metric(metric, grid, m_theta) if area is None else area
+    spread, mean = _circle_curvature(metric, grid, m_theta)
+    radiality = float(np.max(spread))
+    if radiality > tol:
+        return radiality, False
     a = area.samples[1]
     target = grid.derivative(a)[1:-1] / a[1:-1]
     # A'/A = (n-1) w'/w with n = 2 against the angular mean of H on each circle
-    return not np.any(np.abs(mean - target) > tol)
+    return radiality, not np.any(np.abs(mean - target) > tol)

@@ -458,11 +458,6 @@ def radiality_deviation(metric: PolarMetric2D, grid: RadialGrid, m_theta: int) -
     return float(np.max(_circle_curvature(metric, grid, m_theta)[0]))
 
 
-def polar_metric_from_warping(warping: Callable, radius: float) -> PolarMetric2D:
-    """The 2-D polar metric with theta-independent density rho(r, theta) = w(r)."""
-    return PolarMetric2D(radius=radius, density=lambda r, theta: warping(r))
-
-
 def euclidean_model(dimension: int, radius: float) -> AreaFunction:
     return area_from_warping(dimension, radius, space_form_warping(0.0, radius))
 

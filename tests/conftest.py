@@ -19,7 +19,6 @@ from ballbound.geometry import (
     _eval_on,
     area_from_polar_metric,
     bumped_disc_metric,
-    polar_metric_from_warping,
     space_form_model,
     space_form_warping,
 )
@@ -84,6 +83,11 @@ def suite_warping(label: str):
     """The space-form warping of the model_suite() ball ``label``."""
     _, kappa, radius = MODEL_SUITE[label]
     return space_form_warping(kappa, radius)
+
+
+def polar_metric_from_warping(warping, radius: float) -> PolarMetric2D:
+    """The 2-D polar metric with theta-independent density rho(r, theta) = w(r)."""
+    return PolarMetric2D(radius=radius, density=lambda r, theta: warping(r))
 
 
 def wavy_cone_metric(radius: float) -> PolarMetric2D:

@@ -128,7 +128,7 @@ def test_criterion_5_hyperbolic_ball_and_cheng():
     )
     flat_area = euclidean_model(2, radius)
     monotone_ok, _ = monotonicity_check(flat_area, hyperbolic, grid)
-    report = cheng_report(euclidean_model(2, radius), -1.0, grid, 1e-8)
+    report = cheng_report(euclidean_model(2, radius), hyperbolic, grid, 1e-8)
     checks = [
         *[
             (
@@ -165,7 +165,7 @@ def test_criterion_7_strict_inequality_at_radius_three():
     flat_value = J0_SQUARED / 9.0
     gap = flat_value - fine.lambda1
     deviation = radiality_deviation(metric, grid, 256)
-    sharp = equality_criterion(metric, grid, 256, 1e-6)
+    sharp = equality_criterion(metric, area_from_polar_metric(metric, grid, 256), grid, 256, 1e-6)[1]
     checks = [
         (fine.lambda1 < flat_value, f"FD eigenvalue {fine.lambda1:.6f} < {flat_value:.6f}"),
         (gap > estimate, f"gap {gap:.2e} exceeds Richardson estimate {estimate:.2e}"),

@@ -286,6 +286,14 @@ class TestPaperExample:
         assert comp["radiality"] > 1e-3
         assert comp["equality_criterion"] is False
 
+    def test_radiality_equals_compares(self, tmp_path):
+        # both reduce the one curvature sweep of the same grid and angles
+        code, example = run_json(tmp_path, "paper-example", "--mesh", "16x16")
+        assert code == 0
+        code, compared = run_json(tmp_path, "compare", "--builtin", "paper-example")
+        assert code == 0
+        assert example["comparison"]["radiality"] == compared["comparison"]["radiality"] > 0.5
+
 
 class TestConfigFiles:
     def test_warping_expression_config(self, tmp_path):
@@ -516,10 +524,8 @@ class TestOneBallManySpellings:
             "--ref-warping", "sin(t)", "--grid", "256",
         ])
         assert code == 5
-        # the reference's area is built inside the comparison stage
-        assert capsys.readouterr().err == (
-            "invalid input: stage 'compare' failed: A must be positive on (0, R]\n"
-        )
+        # the reference's area is built before the comparison stage
+        assert capsys.readouterr().err == "invalid input: A must be positive on (0, R]\n"
 
 
 class TestConfigContract:
@@ -1086,11 +1092,20 @@ class TestStageRunner:
             (["paper-example", "--grid", "4"], "need at least 8 intervals, got 4"),
             (["compare", "--builtin", "euclidean", "--kappa", "100"],
              "radius 1.0 reaches the conjugate locus pi/sqrt(kappa) = 0.3141592653589793"),
+            (["compare", "--builtin", "euclidean", "--ref-warping", "t - 2*t^2"],
+             "A must be positive on (0, R]"),
+            (["compare", "--builtin", "euclidean", "--ref-warping", "2*t"],
+             "A(t)/t^(n-1) -> 2 x vol(S^(n-1)) near 0, expected the unit-sphere volume"
+             " (metric smooth at the center)"),
+            (["compare", "--builtin", "euclidean", "--kappa=-1e6"],
+             "A(t) is not finite at t = 0.75"),
         ],
-        ids=["paper-example-radius-1e-320", "paper-example-grid-4", "compare-kappa-100"],
+        ids=["paper-example-radius-1e-320", "paper-example-grid-4", "compare-kappa-100",
+             "compare-negative-reference", "compare-reference-off-centre-law",
+             "compare-reference-overflows"],
     )
     def test_models_are_built_before_the_first_stage(self, capsys, argv, message):
-        # the paper example's metric and grid, and compare's reference warping
+        # the paper example's metric and grid, and compare's reference area
         assert main(argv) == 5
         assert capsys.readouterr().err == f"invalid input: {message}\n"
 

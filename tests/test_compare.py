@@ -17,16 +17,23 @@ from ballbound.errors import DomainError, InvalidAreaError, InvalidMetricError
 from ballbound.geometry import (
     PolarMetric2D,
     RadialGrid,
+    area_from_polar_metric,
+    area_from_warping,
     bumped_disc_metric,
     euclidean_model,
-    polar_metric_from_warping,
     space_form_model,
     space_form_warping,
 )
 from ballbound.moments import run_until_converged
 from ballbound.oracle import Mesh2D, eigen_2d_refined, shoot_radial_lambda1
 
-from conftest import J0_SQUARED, counting_metric, metric_suite, wavy_cone_metric
+from conftest import (
+    J0_SQUARED,
+    counting_metric,
+    metric_suite,
+    polar_metric_from_warping,
+    wavy_cone_metric,
+)
 
 
 class TestMonotonicityCheck:
@@ -78,7 +85,8 @@ class TestMonotonicityCheck:
 
 class TestChengReport:
     def test_flat_versus_hyperbolic(self, unit_grid):
-        report = cheng_report(euclidean_model(2, 1.0), -1.0, unit_grid, 1e-8)
+        hyperbolic = space_form_model(2, -1.0, 1.0)
+        report = cheng_report(euclidean_model(2, 1.0), hyperbolic, unit_grid, 1e-8)
         assert report.verdict == BOUND_HOLDS
         assert report.monotone_ok
         assert report.bound == pytest.approx(J0_SQUARED, abs=1e-3)
@@ -86,24 +94,21 @@ class TestChengReport:
 
     def test_reflexive_comparison_is_equality(self, unit_grid):
         for kappa in (-1.0, 0.0, 0.5):
-            model = (
-                euclidean_model(2, 1.0)
-                if kappa == 0.0
-                else space_form_model(2, kappa, 1.0)
-            )
-            report = cheng_report(model, kappa, unit_grid, 1e-8)
+            model = space_form_model(2, kappa, 1.0)
+            report = cheng_report(model, model, unit_grid, 1e-8)
             assert report.verdict == EQUALITY_CANDIDATE
             assert abs(report.bound - report.reference_lambda) <= report.combined_tolerance
 
     def test_hypothesis_failure_is_a_verdict(self, unit_grid):
-        report = cheng_report(space_form_model(2, -1.0, 1.0), 1.0, unit_grid, 1e-8)
+        spherical = space_form_model(2, 1.0, 1.0)
+        report = cheng_report(space_form_model(2, -1.0, 1.0), spherical, unit_grid, 1e-8)
         assert report.verdict == HYPOTHESIS_FAILS
         assert not report.monotone_ok
 
     def test_bumped_disc_rejects_equality(self):
         grid = RadialGrid(3.0, 512)
         report = cheng_report(
-            bumped_disc_metric(3.0), 0.0, grid, 1e-8, m_theta=64, model_id="bumped"
+            bumped_disc_metric(3.0), euclidean_model(2, 3.0), grid, 1e-8, m_theta=64, model_id="bumped"
         )
         assert report.monotone_ok
         assert report.verdict == BOUND_HOLDS
@@ -118,23 +123,30 @@ class TestChengReport:
             return result._replace(lambda1=result.lambda1 * (1.0 + 1e-4))
 
         monkeypatch.setattr(ballbound.compare, "shoot_radial_lambda1", shoot_high)
-        report = cheng_report(euclidean_model(2, 1.0), 0.0, unit_grid, 1e-8)
+        report = cheng_report(euclidean_model(2, 1.0), euclidean_model(2, 1.0), unit_grid, 1e-8)
         assert report.monotone_ok
         assert report.reference_lambda > report.bound + report.combined_tolerance
         assert report.verdict == BOUND_BELOW_REFERENCE
         # flat over hyperbolic areas decrease: a bound below the reference is the theorem's claim
-        report = cheng_report(euclidean_model(2, 1.0), -1.0, unit_grid, 1e-8)
+        hyperbolic = space_form_model(2, -1.0, 1.0)
+        report = cheng_report(euclidean_model(2, 1.0), hyperbolic, unit_grid, 1e-8)
         assert report.verdict == BOUND_HOLDS
 
     def test_general_warping_reference(self, unit_grid):
         # reference W(t) = sinh(t): same as kappa = -1
-        reference = lambda t: np.sinh(np.asarray(t, dtype=float))
+        reference = area_from_warping(2, 1.0, lambda t: np.sinh(np.asarray(t, dtype=float)))
         via_warping = cheng_report(euclidean_model(2, 1.0), reference, unit_grid, 1e-8)
-        via_kappa = cheng_report(euclidean_model(2, 1.0), -1.0, unit_grid, 1e-8)
+        hyperbolic = space_form_model(2, -1.0, 1.0)
+        via_kappa = cheng_report(euclidean_model(2, 1.0), hyperbolic, unit_grid, 1e-8)
         assert via_warping.verdict == via_kappa.verdict == BOUND_HOLDS
         assert via_warping.reference_lambda == pytest.approx(
             via_kappa.reference_lambda, rel=1e-9
         )
+
+    def test_reference_of_another_dimension_is_rejected(self, unit_grid):
+        # the area ratio of a 2-ball and a 3-ball model compares nothing
+        with pytest.raises(DomainError, match="reference dimension 3 differs from the model's 2"):
+            cheng_report(euclidean_model(2, 1.0), euclidean_model(3, 1.0), unit_grid)
 
     def test_soundness_harness(self):
         """Whenever the monotonicity hypothesis passes, the bound holds."""
@@ -144,8 +156,9 @@ class TestChengReport:
             for kappa in references:
                 if kappa > 0.0 and metric.radius >= math.pi / math.sqrt(kappa):
                     continue
+                reference = space_form_model(2, kappa, metric.radius)
                 report = cheng_report(
-                    metric, kappa, grid, 1e-8, m_theta=64, model_id=label
+                    metric, reference, grid, 1e-8, m_theta=64, model_id=label
                 )
                 if report.monotone_ok:
                     assert (
@@ -160,7 +173,8 @@ class TestGridRadius:
         [
             run_until_converged,
             shoot_radial_lambda1,
-            lambda area, grid: cheng_report(area, 0.0, grid),
+            # a reference of the area's own radius, so that the grid check fires
+            lambda area, grid: cheng_report(area, space_form_model(3, 0.0, area.radius), grid),
         ],
         ids=["hierarchy", "shooting", "cheng-report"],
     )
@@ -171,25 +185,30 @@ class TestGridRadius:
             solve(space_form_model(3, 1.0, 1.0), RadialGrid(2.0, 512))
 
 
+def is_sharp(metric, grid):
+    """The equality criterion of ``metric`` at 64 angles and tolerance 1e-6."""
+    return equality_criterion(metric, area_from_polar_metric(metric, grid, 64), grid, 64, 1e-6)[1]
+
+
 class TestEqualityCriterion:
     def test_flat_disc(self, unit_grid):
         flat = polar_metric_from_warping(space_form_warping(0.0, 1.0), 1.0)
-        assert equality_criterion(flat, unit_grid, 64, 1e-6)
+        assert is_sharp(flat, unit_grid)
 
     def test_hemisphere_density(self):
         radius = math.pi / 2
         grid = RadialGrid(radius, 512)
         hemi = polar_metric_from_warping(space_form_warping(1.0, radius), radius)
         # h(t) = d/dt log sin t = cot t, matched against the sampled warping
-        assert equality_criterion(hemi, grid, 64, 1e-6)
+        assert is_sharp(hemi, grid)
 
     def test_bumped_disc_fails(self):
         grid = RadialGrid(3.0, 256)
-        assert not equality_criterion(bumped_disc_metric(3.0), grid, 64, 1e-6)
+        assert not is_sharp(bumped_disc_metric(3.0), grid)
 
     def test_bumped_disc_inside_flat_region_passes(self):
         grid = RadialGrid(1.0, 256)
-        assert equality_criterion(bumped_disc_metric(1.0), grid, 64, 1e-6)
+        assert is_sharp(bumped_disc_metric(1.0), grid)
 
     @pytest.mark.parametrize("radius,sharp", [(1.0, True), (3.0, False)])
     def test_density_calls_do_not_grow_with_the_grid(self, radius, sharp):
@@ -197,10 +216,12 @@ class TestEqualityCriterion:
         for intervals in (64, 512):
             metric, calls = counting_metric(bumped_disc_metric(radius))
             grid = RadialGrid(radius, intervals)
-            assert equality_criterion(metric, grid, 64, 1e-6) is sharp
+            area = area_from_polar_metric(metric, grid, 64)
+            calls.clear()
+            assert equality_criterion(metric, area, grid, 64, 1e-6)[1] is sharp
             counts.append(len(calls))
-        # the curvature field once; a sharp metric also builds its area once
-        assert counts == ([3, 3] if sharp else [2, 2])
+        # the density and its radial derivative, each on one block of rows
+        assert counts == [2, 2]
 
     def test_non_finite_curvature_is_rejected_not_sharp(self, unit_grid):
         # NaN compares false against every tolerance, so it used to read as sharp
@@ -210,22 +231,19 @@ class TestEqualityCriterion:
             density_r=lambda r, th: np.where(np.asarray(r) > 0.5, np.nan, 1.0) + 0.0 * np.asarray(th),
         )
         with pytest.raises(InvalidMetricError, match="mean curvature is not finite at t = 0.5"):
-            equality_criterion(metric, unit_grid, 64, 1e-6)
+            is_sharp(metric, unit_grid)
 
     def test_wavy_cone_is_sharp(self, unit_grid):
         # the angular reparametrization is an isometry onto the flat disc
-        assert equality_criterion(wavy_cone_metric(1.0), unit_grid, 64, 1e-6)
+        assert is_sharp(wavy_cone_metric(1.0), unit_grid)
 
     def test_equality_implies_matching_eigenvalues(self, unit_grid):
         """Sharp metrics: the 2-D eigenvalue equals the symmetrized bound."""
-        from ballbound.geometry import area_from_polar_metric
-        from ballbound.moments import run_until_converged
-
         for label, metric in metric_suite():
             grid = RadialGrid(metric.radius, 256)
-            if not equality_criterion(metric, grid, 64, 1e-6):
-                continue
             area = area_from_polar_metric(metric, grid, 64)
+            if not equality_criterion(metric, area, grid, 64, 1e-6)[1]:
+                continue
             norm, _, _ = run_until_converged(area, grid, 1e-9, 200)
             fine, estimate, extrapolated = eigen_2d_refined(metric, Mesh2D(32, 32), 1e-9)
             combined = 1e-9 * norm.final + estimate

@@ -26,7 +26,6 @@ from ballbound.geometry import (
     bumped_disc_metric,
     euclidean_model,
     mean_curvature_field,
-    polar_metric_from_warping,
     radiality_deviation,
     space_form_model,
     space_form_warping,
@@ -38,6 +37,7 @@ from conftest import (
     bump_curvature_oracle,
     counting_metric,
     model_suite,
+    polar_metric_from_warping,
     suite_warping,
     wavy_cone_metric,
 )

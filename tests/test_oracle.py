@@ -18,7 +18,6 @@ from ballbound.geometry import (
     area_from_warping,
     bumped_disc_metric,
     euclidean_model,
-    polar_metric_from_warping,
     space_form_model,
     space_form_warping,
 )
@@ -31,6 +30,7 @@ from conftest import (
     metric_suite,
     model_suite,
     operator_defects,
+    polar_metric_from_warping,
     reference_lambda1,
     reference_rayleigh_quotient,
     run_python,

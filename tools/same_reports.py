@@ -87,6 +87,11 @@ ERROR_PATHS = [
      ["compare", "--builtin", "euclidean", "--kappa", "100"], None),
     ("zero area at a node symmetrize", ["symmetrize", "--config", "{config}"],
      {"kind": "area", "dimension": 2, "area": "2*pi*t*((t-0.375)/0.375)^2"}),
+    ("compare negative reference",
+     ["compare", "--builtin", "euclidean", "--ref-warping", "t - 2*t^2"], None),
+    ("compare reference off the centre law",
+     ["compare", "--builtin", "euclidean", "--ref-warping", "2*t"], None),
+    ("compare reference that overflows", ["compare", "--builtin", "euclidean", "--kappa=-1e6"], None),
 ]
 
 WAVY = {"kind": "polar2d", "rho": "sinh(r)*(1+0.2*sin(2*theta))", "radius": 2}
