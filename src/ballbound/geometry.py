@@ -352,22 +352,30 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> Callable:
     one-sided end slopes; slopes, coefficients and evaluation follow
     ``scipy.interpolate.PchipInterpolator`` operation by operation, so the
     values agree to the bit.  Needs at least three nodes; points are clamped
-    to [x[0], x[-1]].
+    to [x[0], x[-1]].  Coefficients that are not finite, or an interval whose
+    cube overflows in the evaluation, raise :class:`PrecisionError` naming
+    x[-1] as the radius.
     """
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
-    h = np.diff(x)
-    m = np.diff(y) / h
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    d = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        d = np.zeros_like(y)
         d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+        widest = np.max(h)
+        if not (np.isfinite(widest**3) and np.all(np.isfinite([c0, c1, c2]))):
+            raise PrecisionError(
+                f"the PCHIP interpolant of A(t) leaves the float range at radius {x[-1]:g}"
+                f" (node spacing {widest:g})"
+            )
 
     def evaluate(points):
         p = np.clip(np.asarray(points, dtype=float), x[0], x[-1])

@@ -6,7 +6,9 @@ Two routes to the first Dirichlet eigenvalue:
   sphere-area function A(t): it integrates the self-adjoint problem
   (A f')' + lambda A f = 0 with a fixed-step RK4 sweep, bracketing by
   the zero count of f (Pryce 1993) and finding the root of f(R) by regula
-  falsi (Anderson-Bjorck 1973, with Brent's minimum step);
+  falsi (Anderson-Bjorck 1973, with Brent's minimum step).  The system is
+  linear, so a sweep forms every step's 2x2 RK4 matrix at once in numpy and
+  then applies them in order, one node at a time;
 * a finite-volume discretization of the Laplace-Beltrami operator of a 2-D
   polar metric, applied matrix-free and solved by LOBPCG, preconditioned by
   a Fourier-in-theta solve of its theta-averaged operator.
@@ -62,40 +64,40 @@ class Mesh2D:
         return Mesh2D(2 * self.n_radial, 2 * self.n_angular)
 
 
-def _sweep(lam: float, n: int, h: float, a_nodes: list, a_mid: list, keep_path: bool = False):
-    """RK4 sweep of f' = g/A, g' = -lam A f on plain floats.
+def _sweep(lam: float, n: int, h: float, a_nodes: np.ndarray, a_mid: np.ndarray) -> np.ndarray:
+    """RK4 path f(t_i) at the nodes of [0, R] for f' = g/A, g' = -lam A f.
 
     ``a_nodes`` holds A at the nodes of (0, R] and ``a_mid`` at the midpoints
-    between them.  Starts from the series f = 1 - lam t^2/(2n) at the first
-    node (A(0) = 0).  Returns f(R), the number of sign changes of f over the
-    nodes of (0, R], and the path f(t_i) when ``keep_path`` is set.
+    between them.  The system is linear, so an RK4 step is a 2x2 matrix: the
+    stage formulas run once, in numpy, for all steps at once on (f, g) = (1, 0)
+    and (0, 1) over 8 (exact, and the six-term stage sums stay finite wherever
+    lam A and 1/A are).  The matrices then act one at a time, in radial order,
+    on the series start f = 1 - lam t^2/(2n) at the first node (A(0) = 0): a
+    log-depth product of them rounds f(R) differently enough near lambda1 to
+    flip its sign.
     """
+    f = np.array([[0.125], [0.0]])  # one scaled unit vector per row
+    g = f[::-1]
+    a0, a1, half, sixth, neg = a_nodes[:-1], a_nodes[1:], 0.5 * h, h / 6.0, -lam
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as on plain floats
+        k1f, k1g = g / a0, neg * a0 * f
+        k2f, k2g = (g + half * k1g) / a_mid, neg * a_mid * (f + half * k1f)
+        k3f, k3g = (g + half * k2g) / a_mid, neg * a_mid * (f + half * k2f)
+        k4f, k4g = (g + h * k3g) / a1, neg * a1 * (f + h * k3f)
+        m00, m01 = map(memoryview, 8.0 * (f + sixth * (k1f + 2.0 * (k2f + k3f) + k4f)))
+        m10, m11 = map(memoryview, 8.0 * (g + sixth * (k1g + 2.0 * (k2g + k3g) + k4g)))
     f = 1.0 - lam * h * h / (2.0 * n)
-    g = a_nodes[0] * (-lam * h / n)
-    positive = f > 0.0
-    changes = 0 if positive else 1
-    path = [1.0, f] if keep_path else None
-    sixth = h / 6.0
-    half = 0.5 * h
-    neg = -lam
-    for a0, am, a1 in zip(a_nodes[:-1], a_mid, a_nodes[1:]):
-        k1f = g / a0
-        k1g = neg * a0 * f
-        neg_am = neg * am
-        k2f = (g + half * k1g) / am
-        k2g = neg_am * (f + half * k1f)
-        k3f = (g + half * k2g) / am
-        k3g = neg_am * (f + half * k2f)
-        k4f = (g + h * k3g) / a1
-        k4g = neg * a1 * (f + h * k3f)
-        f = f + sixth * (k1f + 2.0 * (k2f + k3f) + k4f)
-        g = g + sixth * (k1g + 2.0 * (k2g + k3g) + k4g)
-        if (f > 0.0) is not positive:
-            positive = not positive
-            changes += 1
-        if keep_path:
-            path.append(f)
-    return f, changes, path
+    g = float(a_nodes[0]) * (-lam * h / n)
+    path = [1.0, f]
+    for p, q, r, s in zip(m00, m01, m10, m11):
+        f, g = p * f + q * g, r * f + s * g
+        path.append(f)
+    return np.fromiter(path, float, len(path))
+
+
+def _sign_changes(path: np.ndarray) -> int:
+    """The number of sign changes of f along a path that starts at f(0) = 1."""
+    return int(np.count_nonzero(np.diff(path > 0.0)))
 
 
 def _anderson_bjorck(f_new: float, f_old: float) -> float:
@@ -124,13 +126,14 @@ def shoot_radial_lambda1(
     t = np.repeat(grid.nodes[1:], 2)[:-1]
     t[1::2] += 0.5 * h
     samples = _area_samples(area, grid, t)
-    a_nodes, a_mid = samples[0::2].tolist(), samples[1::2].tolist()
+    a_nodes, a_mid = samples[0::2], samples[1::2]
     n = area.dimension
 
     b = _eigenvalue_scale(n, grid.radius)
     a, fa, above = 0.0, 1.0, math.inf  # f = 1 on the whole ball at lambda = 0
     for iterations in range(1, _MAX_BRACKET_SWEEPS + 1):
-        fb, changes, _ = _sweep(b, n, h, a_nodes, a_mid)
+        path = _sweep(b, n, h, a_nodes, a_mid)
+        fb, changes = float(path[-1]), _sign_changes(path)
         if changes == 1 and fb <= 0.0:
             break
         if changes == 0 and fb > 0.0:
@@ -155,7 +158,7 @@ def shoot_radial_lambda1(
             lam = 0.5 * (a + b)
             if not a < lam < b:
                 break  # a and b are adjacent floats
-        f_lam, _, _ = _sweep(lam, n, h, a_nodes, a_mid)
+        f_lam = float(_sweep(lam, n, h, a_nodes, a_mid)[-1])
         iterations += 1
         if f_lam > 0.0:
             if side == 1:
@@ -169,9 +172,8 @@ def shoot_radial_lambda1(
             a = b = lam
     lam1 = 0.5 * (a + b)
 
-    f_end, _, path = _sweep(lam1, n, h, a_nodes, a_mid, keep_path=True)
-    f = np.asarray(path)
-    f[-1] = 0.0
+    f = _sweep(lam1, n, h, a_nodes, a_mid)
+    f_end, f[-1] = float(f[-1]), 0.0
     if np.any(f[:-1] <= 0.0) or np.any(np.diff(f[:-1]) >= 0.0):
         raise ConvergenceError(
             "shooting produced an eigenfunction that is not positive decreasing;"
@@ -313,14 +315,17 @@ def eigen_2d_polar(metric: PolarMetric2D, mesh: Mesh2D, tol: float = 1e-8) -> Ei
     T^-1 (M 1), with T^-1 the theta-averaged solver: each step is a
     Rayleigh-Ritz on [x, T^-1 r, p], every column normalized in the M norm
     (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006) and near-dependent
-    directions cut.  Masses and conductances are first scaled by powers of
-    two, which is exact, so only lambda1 itself must be a normal float.
+    directions cut.  A disc whose Euclidean eigenvalue scale 8 j0^2 / R^2 is
+    not a normal float raises :class:`PrecisionError` before assembly, as in
+    the radial solvers.  Masses and conductances are scaled by powers of two,
+    which is exact, so only lambda1 itself must be a normal float.
     Iteration stops when the eigenvalue is relatively Cauchy at ``tol`` and
     the relative residual ||K x - lambda M x|| / (lambda ||M x||) is at most
     2 tol.  The working set is the mesh operators, the basis in one fixed
     3 x N array and one image vector for K and M: about 8 mesh vectors.
     """
     _check_tol(tol)
+    _eigenvalue_scale(2, metric.radius)
     stiffness, mass = build_discrete_laplacian(metric, mesh)
     k_exp = math.frexp(max(np.max(stiffness.radial), np.max(stiffness.angular)))[1]
     m_exp = math.frexp(float(np.max(mass)))[1]

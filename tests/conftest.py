@@ -260,6 +260,42 @@ def reference_lambda1(metric: PolarMetric2D, mesh: Mesh2D, tol: float) -> float:
     raise AssertionError("reference inverse iteration did not converge")
 
 
+def reference_sweep(lam: float, n: int, h: float, a_nodes: list, a_mid: list):
+    """The shooting oracle's RK4 sweep of f' = g/A, g' = -lam A f stepped node by node
+    on plain floats, with each step's stages in full.
+
+    ``a_nodes`` holds A at the nodes of (0, R] and ``a_mid`` at the midpoints
+    between them.  Starts from the series f = 1 - lam t^2/(2n) at the first
+    node (A(0) = 0).  Returns f(R), the number of sign changes of f over the
+    nodes of (0, R], and the path f(t_i) at the nodes of [0, R].
+    """
+    f = 1.0 - lam * h * h / (2.0 * n)
+    g = a_nodes[0] * (-lam * h / n)
+    positive = f > 0.0
+    changes = 0 if positive else 1
+    path = [1.0, f]
+    sixth = h / 6.0
+    half = 0.5 * h
+    neg = -lam
+    for a0, am, a1 in zip(a_nodes[:-1], a_mid, a_nodes[1:]):
+        k1f = g / a0
+        k1g = neg * a0 * f
+        neg_am = neg * am
+        k2f = (g + half * k1g) / am
+        k2g = neg_am * (f + half * k1f)
+        k3f = (g + half * k2g) / am
+        k3g = neg_am * (f + half * k2f)
+        k4f = (g + h * k3g) / a1
+        k4g = neg * a1 * (f + h * k3f)
+        f = f + sixth * (k1f + 2.0 * (k2f + k3f) + k4f)
+        g = g + sixth * (k1g + 2.0 * (k2g + k3g) + k4g)
+        if (f > 0.0) is not positive:
+            positive = not positive
+            changes += 1
+        path.append(f)
+    return f, changes, path
+
+
 def reference_rayleigh_quotient(
     metric: PolarMetric2D, grid: RadialGrid, profile: np.ndarray, m_theta: int
 ) -> float:

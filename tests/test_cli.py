@@ -186,7 +186,7 @@ class TestOracle:
         exact = J0_SQUARED / float(radius) ** 2
         assert report["oracle"]["lambda1"] == pytest.approx(exact, rel=1e-6)
 
-    @pytest.mark.parametrize("radius", [1e80, 1e-100, 1e150])
+    @pytest.mark.parametrize("radius", [1e80, 1e-100, 1e150, 1e-150])
     def test_2d_oracle_inside_the_float_range(self, tmp_path, radius):
         # exact power-of-two scaling of masses and conductances keeps the
         # solver's inner products in range; only lambda1 must be a normal float
@@ -200,16 +200,48 @@ class TestOracle:
         scaled = oracle["lambda1"] * radius * radius
         assert abs(scaled - J0_SQUARED) <= 2.0 * abs(oracle["richardson"]) * radius * radius
 
-    @pytest.mark.parametrize("radius", [1e180, 1e200, 1e-160])
+    @pytest.mark.parametrize("radius", [1e180, 1e200, 1e-160, 1e-170])
     def test_2d_oracle_outside_the_float_range(self, tmp_path, radius, capsys):
-        # the mesh masses themselves leave the float range
+        # lambda1 ~ 5.8 / R^2 is no normal float: the solver names its scale, as
+        # the area and warping spellings of the ball do, where it used to blame
+        # the mesh conductances or masses
+        scale = "0" if radius > 1.0 else "inf"
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"kind": "polar2d", "rho": "r", "radius": radius}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["oracle", "--config", str(cfg)]) == 5
+        assert capsys.readouterr().err == (
+            f"invalid input: stage 'oracle' failed: eigenvalue scale {scale} at radius"
+            f" {radius:g} is outside the normal float range\n"
+        )
+
+    @pytest.mark.parametrize("radius", [1e-160, 3e106, 1e150])
+    @pytest.mark.parametrize("command", ["bound", "symmetrize", "compare"])
+    def test_polar_interpolant_outside_the_float_range(self, tmp_path, command, radius, capsys):
+        # at the default 4096 intervals the cube of the node spacing overflows
+        # from 3e106 (it read "A(t) is not finite"), and the coefficients from
+        # 1e-156 down (they leaked a numpy overflow warning)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "polar2d", "rho": "r", "radius": radius}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg)]) == 5
         err = capsys.readouterr().err
-        assert err.startswith("invalid input: ") and err.count("\n") == 1
+        assert err.count("\n") == 1
+        assert f"the PCHIP interpolant of A(t) leaves the float range at radius {radius:g}" in err
+
+    @pytest.mark.parametrize(
+        "command,radius",
+        [("symmetrize", 1e-155), ("bound", 2e106), ("symmetrize", 2e106), ("compare", 2e106)],
+    )
+    def test_polar_interpolant_inside_the_float_range(self, tmp_path, command, radius):
+        # bound and compare at 1e-155 stop on the eigenvalue scale instead
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "polar2d", "rho": "r", "radius": radius}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg)]) == 0
 
 
 class TestCompare:

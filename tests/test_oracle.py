@@ -33,6 +33,7 @@ from conftest import (
     polar_metric_from_warping,
     reference_lambda1,
     reference_rayleigh_quotient,
+    reference_sweep,
     run_python,
     wavy_cone_metric,
 )
@@ -168,6 +169,58 @@ class TestRadialShooting:
         lam1 = shoot_radial_lambda1(euclidean_model(2, 1.0), grid1, 1e-10).lambda1
         lam2 = shoot_radial_lambda1(euclidean_model(2, 2.0), grid2, 1e-10).lambda1
         assert lam2 == pytest.approx(lam1 / 4.0, rel=1e-8)
+
+
+# (dimension, kappa, radius) of the balls the sweep is checked on; the
+# spherical ball stops short of radius 20, past its conjugate point
+SWEEP_BALLS = [
+    (n, kappa, radius)
+    for n in (2, 3, 20)
+    for kappa in (-1.0, 0.0, 1.0)
+    for radius in (1e-4, 1.0, 20.0)
+    if kappa <= 0.0 or radius < 20.0
+]
+# sweeps per solve at tol = 1e-10 / R^2, as counted by the node-by-node float loop
+SWEEP_COUNTS = {
+    (2, -1.0, 1e-4): 13, (2, -1.0, 1.0): 13, (2, -1.0, 20.0): 15,
+    (2, 0.0, 1e-4): 13, (2, 0.0, 1.0): 13, (2, 0.0, 20.0): 13,
+    (2, 1.0, 1e-4): 13, (2, 1.0, 1.0): 13,
+    (3, -1.0, 1e-4): 14, (3, -1.0, 1.0): 14, (3, -1.0, 20.0): 16,
+    (3, 0.0, 1e-4): 14, (3, 0.0, 1.0): 14, (3, 0.0, 20.0): 14,
+    (3, 1.0, 1e-4): 14, (3, 1.0, 1.0): 14,
+    (20, -1.0, 1e-4): 23, (20, -1.0, 1.0): 15, (20, -1.0, 20.0): 30,
+    (20, 0.0, 1e-4): 23, (20, 0.0, 1.0): 23, (20, 0.0, 20.0): 23,
+    (20, 1.0, 1e-4): 23, (20, 1.0, 1.0): 23,
+}
+
+
+class TestSweep:
+    """The step-matrix sweep against the node-by-node float loop it replaced."""
+
+    @staticmethod
+    def solve(n, kappa, radius):
+        # the width scales with the ball's eigenvalue, so the root search
+        # stops on it before f(R) reaches its rounding noise; at an absolute
+        # width below the float spacing of lambda1 (radius 1e-4) the last
+        # sweeps read that noise, and their number follows the rounding
+        area, grid = space_form_model(n, kappa, radius), RadialGrid(radius, 4096)
+        return area, grid, shoot_radial_lambda1(area, grid, 1e-10 / radius**2)
+
+    @pytest.mark.parametrize("n,kappa,radius", SWEEP_BALLS)
+    def test_path_matches_the_float_loop(self, n, kappa, radius):
+        area, grid, result = self.solve(n, kappa, radius)
+        h = grid.spacing
+        a_nodes, a_mid = area.eval(grid.nodes[1:]), area.eval(grid.nodes[1:-1] + 0.5 * h)
+        for lam in (0.5 * result.lambda1, result.lambda1, 1.5 * result.lambda1):
+            path = oracle._sweep(lam, n, h, a_nodes, a_mid)
+            _, changes, reference = reference_sweep(lam, n, h, a_nodes.tolist(), a_mid.tolist())
+            reference = np.asarray(reference)
+            assert np.max(np.abs(path - reference)) <= 1e-12 * np.max(np.abs(reference))
+            assert oracle._sign_changes(path) == changes
+
+    @pytest.mark.parametrize("n,kappa,radius", SWEEP_BALLS)
+    def test_sweep_count(self, n, kappa, radius):
+        assert self.solve(n, kappa, radius)[2].iterations == SWEEP_COUNTS[n, kappa, radius]
 
 
 class TestEigen2D:

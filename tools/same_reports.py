@@ -92,6 +92,16 @@ ERROR_PATHS = [
     ("compare reference off the centre law",
      ["compare", "--builtin", "euclidean", "--ref-warping", "2*t"], None),
     ("compare reference that overflows", ["compare", "--builtin", "euclidean", "--kappa=-1e6"], None),
+    ("polar interpolant cube overflows symmetrize", ["symmetrize", "--config", "{config}"],
+     {"kind": "polar2d", "rho": "r", "radius": 3e106}),
+    ("polar interpolant overflows bound", ["bound", "--config", "{config}"],
+     {"kind": "polar2d", "rho": "r", "radius": 1e150}),
+    ("polar interpolant coefficients overflow compare", ["compare", "--config", "{config}"],
+     {"kind": "polar2d", "rho": "r", "radius": 1e-160}),
+    ("2-D oracle eigenvalue underflows", ["oracle", "--config", "{config}"],
+     {"kind": "polar2d", "rho": "r", "radius": 1e180}),
+    ("2-D oracle eigenvalue overflows", ["oracle", "--config", "{config}"],
+     {"kind": "polar2d", "rho": "r", "radius": 1e-170}),
 ]
 
 WAVY = {"kind": "polar2d", "rho": "sinh(r)*(1+0.2*sin(2*theta))", "radius": 2}
@@ -104,7 +114,11 @@ BUMPED = {"kind": "polar2d", "radius": 3,
 # (radius x angle) field is evaluated; and the 99% angular variation on a
 # 40 x 96 mesh takes LOBPCG through 214 steps, where the benchmark's
 # densities, at most 40% variation, take under 20; and the paper example at
-# 256 x 256 solves on 512 x 512, four times the benchmark's largest mesh
+# 256 x 256 solves on 512 x 512, four times the benchmark's largest mesh; and
+# the shooting cells off the benchmark's n <= 3, radius 0.3-8: dimensions 20
+# to 50, spherical balls near the conjugate point pi, hyperbolic areas up to
+# e^600, and eigenvalues near 6e8, where the root search ends on adjacent
+# floats, and near 6e-300
 SUCCESS_PATHS = [
     ("bound grid 16", ["bound", "--builtin", "euclidean", "--grid", "16"], None),
     ("moment grid 8", ["bound", "--builtin", "euclidean", "--grid", "8"], None),
@@ -128,6 +142,19 @@ SUCCESS_PATHS = [
      ["oracle", "--config", "{config}", "--mesh", "40x96", "--tol", "1e-10"],
      {"kind": "polar2d", "rho": "r*(1+0.99*sin(theta))", "radius": 1}),
     ("paper-example mesh 256x256", ["paper-example", "--mesh", "256x256"], None),
+    ("oracle dimension 20", ["oracle", "--builtin", "euclidean", "--dimension", "20"], None),
+    ("oracle dimension 30", ["oracle", "--builtin", "euclidean", "--dimension", "30"], None),
+    ("oracle dimension 50", ["oracle", "--builtin", "euclidean", "--dimension", "50"], None),
+    ("oracle spherical radius 3.1",
+     ["oracle", "--builtin", "spherical", "--dimension", "3", "--radius", "3.1"], None),
+    ("oracle spherical radius 3.1384",
+     ["oracle", "--builtin", "spherical", "--dimension", "3", "--radius", "3.1384"], None),
+    ("oracle hyperbolic radius 20",
+     ["oracle", "--builtin", "hyperbolic", "--dimension", "3", "--radius", "20"], None),
+    ("oracle hyperbolic radius 300",
+     ["oracle", "--builtin", "hyperbolic", "--dimension", "3", "--radius", "300"], None),
+    ("oracle radius 1e-4", ["oracle", "--builtin", "euclidean", "--radius", "1e-4"], None),
+    ("oracle radius 1e150", ["oracle", "--builtin", "euclidean", "--radius", "1e150"], None),
 ]
 
 
