@@ -28,7 +28,8 @@ area, to the centre law and to finite, positive values at its probe radii.
 An error raised inside a stage names it, e.g. ``invalid input: stage
 'oracle' failed: ...``; one found while a model is built has no stage prefix.
 
-Exit codes: 0 success, 1 configuration error, 2 usage/expression syntax
+Exit codes: 0 success, 1 configuration error or an allocation that fails
+(a grid or mesh too large for memory), 2 usage/expression syntax
 error, 3 bound not supported (estimators did not converge, or ``compare``
 found it below the reference), 4 solver failure (bracket, iteration),
 5 invalid model/metric/area input.  Each error class in :mod:`ballbound.errors`
@@ -585,6 +586,9 @@ def main(argv=None) -> int:
     except BallboundError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # e.g. a --grid or --mesh whose arrays numpy refuses
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
     report["timings"] = {**stage, "total": sum(stage.values())}
     text = render_report(report, args.fmt)

@@ -132,6 +132,34 @@ class RadialGrid:
         dy[-2] = -(_D_EDGE1 @ y[-5:][::-1]) / dx
         return dy
 
+    def hermite(self, y: np.ndarray) -> Callable:
+        """C^1 cubic Hermite interpolant of the node samples y, slopes ``derivative(y)``.
+
+        On [x_i, x_i+1] of width w, at s = (p - x_i) / w and u = 1 - s, it is
+        (y_i (1 + 2s) + w y'_i s) u^2 + (y_i+1 (3 - 2s) - w y'_i+1 u) s^2: fourth
+        order, and y bit for bit at every node, R included.  Points within
+        1e-12 R of [0, R] are clamped to it, and others raise
+        :class:`DomainError`; overflow is silent, for the caller's finiteness checks.
+        """
+        x, y, width = self.nodes, np.array(y, dtype=float), np.diff(self.nodes)
+        with np.errstate(all="ignore"):
+            dy = self.derivative(y)
+            d0, d1 = width * dy[:-1], width * dy[1:]
+
+        def evaluate(points):
+            p = np.asarray(points, dtype=float)
+            if np.any(p < -1e-12 * self.radius) or np.any(p > self.radius * (1 + 1e-12)):
+                raise DomainError("interpolant requested outside [0, R]")
+            p = np.clip(p, 0.0, self.radius)
+            i = np.minimum(np.searchsorted(x, p, side="right") - 1, self.intervals - 1)
+            s = (p - x[i]) / width[i]
+            u = 1.0 - s
+            with np.errstate(all="ignore"):
+                left = (y[i] * (1.0 + 2.0 * s) + d0[i] * s) * (u * u)
+                return left + (y[i + 1] * (3.0 - 2.0 * s) - d1[i] * u) * (s * s)
+
+        return evaluate
+
 
 def space_form_warping(kappa: float, radius: float) -> Callable:
     """Warping w(t) of the constant-curvature space form: sin/identity/sinh profile."""
@@ -334,84 +362,23 @@ def _row_blocks(t: np.ndarray, m_theta: int):
     return (t[i : i + rows, None] for i in range(0, len(t), rows))
 
 
-def _pchip_end_slope(h0, h1, m0, m1) -> float:
-    """Three-point one-sided end slope, limited to keep the end monotone (Moler 2004)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip(x: np.ndarray, y: np.ndarray) -> Callable:
-    """Shape-preserving piecewise-cubic Hermite interpolant of y at increasing nodes x.
-
-    Node slopes are the weighted harmonic mean of the adjacent secants, 0
-    where they change sign or one vanishes (Fritsch & Butland 1984), with
-    one-sided end slopes; slopes, coefficients and evaluation follow
-    ``scipy.interpolate.PchipInterpolator`` operation by operation, so the
-    values agree to the bit.  Needs at least three nodes; points are clamped
-    to [x[0], x[-1]].  Coefficients that are not finite, or an interval whose
-    cube overflows in the evaluation, raise :class:`PrecisionError` naming
-    x[-1] as the radius.
-    """
-    x = np.array(x, dtype=float)
-    y = np.array(y, dtype=float)
-    with np.errstate(all="ignore"):
-        h = np.diff(x)
-        m = np.diff(y) / h
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        d = np.zeros_like(y)
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
-        widest = np.max(h)
-        if not (np.isfinite(widest**3) and np.all(np.isfinite([c0, c1, c2]))):
-            raise PrecisionError(
-                f"the PCHIP interpolant of A(t) leaves the float range at radius {x[-1]:g}"
-                f" (node spacing {widest:g})"
-            )
-
-    def evaluate(points):
-        p = np.clip(np.asarray(points, dtype=float), x[0], x[-1])
-        i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
-        s = p - x[i]
-        with np.errstate(all="ignore"):  # like scipy's compiled loop, overflow is silent
-            return c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
-
-    return evaluate
-
-
 def area_from_polar_metric(
     metric: PolarMetric2D, grid: RadialGrid, m_theta: int
 ) -> AreaFunction:
     """Sphere length A(t) of a 2-D polar metric by periodic trapezoid in theta.
 
     The density is sampled at ``m_theta`` uniform angles per grid node, a
-    block of rows at a time; the result interpolates the node values with a
-    shape-preserving cubic.
+    block of rows at a time; the result is the grid's cubic Hermite
+    interpolant of the node values (``RadialGrid.hermite``).
     """
     theta = _angles(m_theta)
     _check_grid(grid, metric.radius, "metric")
     blocks = _row_blocks(grid.nodes[1:], m_theta)
     samples = np.concatenate([[0.0], *(_circle_lengths(metric, rows, theta) for rows in blocks)])
-    spline = _pchip(grid.nodes, samples)
-
-    def evaluate(t):
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < -1e-12 * grid.radius) or np.any(arr > grid.radius * (1 + 1e-12)):
-            raise DomainError("area requested outside [0, R]")
-        return spline(arr)
-
     return AreaFunction(
         dimension=2,
         radius=grid.radius,
-        eval=evaluate,
+        eval=grid.hermite(samples),
         samples=(grid.nodes.copy(), samples),
     )
 

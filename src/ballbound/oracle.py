@@ -114,11 +114,13 @@ def shoot_radial_lambda1(
 
     By Sturm oscillation a sweep has no zero in (0, R] below lambda1 and one
     on [lambda1, lambda2): from a = 0 and a Euclidean scale guess b, b doubles
-    while it has no zero, then bisects toward a while it has two or more.
-    Regula falsi with Anderson-Bjorck weights then narrows the root of f(R)
-    to width ``tol``, or until no float lies between the ends, and returns
-    the midpoint.  ``iterations`` counts every RK4 sweep; the residual is
-    |f(R)| at the final eigenvalue.
+    while it has no zero, then bisects toward a while it has two or more or
+    is not finite (lambda A(t) left the float range: no zero count), and
+    raises :class:`PrecisionError` if the sweeps run out there.  Regula falsi
+    with Anderson-Bjorck weights then narrows the root of f(R) to width
+    ``tol``, or until no float lies between the ends, and returns the
+    midpoint.  ``iterations`` counts every RK4 sweep; the residual is |f(R)|
+    at the final eigenvalue.
     """
     _check_tol(tol)
     h = grid.spacing
@@ -130,18 +132,24 @@ def shoot_radial_lambda1(
     n = area.dimension
 
     b = _eigenvalue_scale(n, grid.radius)
-    a, fa, above = 0.0, 1.0, math.inf  # f = 1 on the whole ball at lambda = 0
+    a, fa, above, overflow = 0.0, 1.0, math.inf, None  # f = 1 on the whole ball at lambda = 0
     for iterations in range(1, _MAX_BRACKET_SWEEPS + 1):
         path = _sweep(b, n, h, a_nodes, a_mid)
         fb, changes = float(path[-1]), _sign_changes(path)
-        if changes == 1 and fb <= 0.0:
+        if not np.all(np.isfinite(path)):
+            above = overflow = b  # no Sturm count: the path left the float range
+        elif changes == 1 and fb <= 0.0:
             break
-        if changes == 0 and fb > 0.0:
+        elif changes == 0 and fb > 0.0:
             a, fa = b, fb
         else:
             above = b
         b = 2.0 * b if above == math.inf else 0.5 * (a + above)
     else:
+        if above == overflow:
+            raise PrecisionError(
+                f"lambda A(t) leaves the float range: no finite sweep at lambda = {above:g}"
+            )
         raise BracketError(f"no lambda in [{a:g}, {above:g}] has f with one zero in (0, R]")
 
     # Anderson-Bjorck weights; as in Brent's zeroin, a point keeps at least

@@ -219,17 +219,25 @@ class TestOracle:
     @pytest.mark.parametrize("radius", [1e-160, 3e106, 1e150])
     @pytest.mark.parametrize("command", ["bound", "symmetrize", "compare"])
     def test_polar_interpolant_outside_the_float_range(self, tmp_path, command, radius, capsys):
-        # at the default 4096 intervals the cube of the node spacing overflows
-        # from 3e106 (it read "A(t) is not finite"), and the coefficients from
-        # 1e-156 down (they leaked a numpy overflow warning)
+        # the radii where a shape-preserving interpolant's coefficients or the
+        # cube of its node spacing left the float range: the grid's Hermite
+        # rule has neither, so only the eigenvalue scale at 1e-160 stops a run
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"kind": "polar2d", "rho": "r", "radius": radius}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([command, "--config", str(cfg)]) == 5
+            code = main([command, "--config", str(cfg), "--output", str(tmp_path / "r.json")])
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert f"the PCHIP interpolant of A(t) leaves the float range at radius {radius:g}" in err
+        if radius < 1.0 and command != "symmetrize":
+            assert code == 5
+            assert err.endswith(
+                f"eigenvalue scale inf at radius {radius:g} is outside the normal float range\n"
+            )
+            return
+        assert code == 0 and err == ""
+        if command != "symmetrize":
+            bound = json.loads((tmp_path / "r.json").read_text())["bound"]
+            assert abs(bound * radius * radius / J0_SQUARED - 1.0) <= 1e-12
 
     @pytest.mark.parametrize(
         "command,radius",
@@ -1056,6 +1064,20 @@ class TestOutputsAndCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["symmetrize", "--builtin", "euclidean", "--grid", str(10**15)],
+            ["paper-example", "--mesh", f"{10**16}x16"],
+        ],
+        ids=["grid", "mesh"],
+    )
+    def test_impossible_allocation_is_one_error_line(self, argv, capsys):
+        # petabyte arrays, past any address space: numpy refuses them at once
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
 
 
 class TestStageRunner:

@@ -214,6 +214,14 @@ class TestAreaFromPolarMetric:
         # int sin(3 theta) dtheta = 0 over a full period (hand integration)
         assert np.max(np.abs(area.samples[1] - 2.0 * math.pi * grid.nodes)) < 1e-10
 
+    def test_area_is_its_samples_at_the_nodes(self):
+        # A(R) included: a polynomial in the distance to the last interior
+        # node rounds it (a shape-preserving PCHIP missed by 1 ulp here)
+        grid = RadialGrid(3.3, 512)
+        metric = PolarMetric2D(3.3, lambda r, th: np.sinh(r) * (1.0 + 0.2 * np.sin(2.0 * th)))
+        area = area_from_polar_metric(metric, grid, 64)
+        assert np.array_equal(_eval_on(area.eval, grid.nodes), area.samples[1])
+
     def test_density_dip_between_probes_rejected(self):
         # negative near t = 0.33, theta = 0.1, a radius no construction probe reaches;
         # its row sums stay positive, every sample is checked

@@ -97,6 +97,18 @@ class TestRadialShooting:
         exact = 1.0 + PI_SQUARED / radius**2
         assert abs(res.lambda1 - exact) <= 5.0 * tol * exact + tol
 
+    @pytest.mark.parametrize("radius", [177.3, 177.5])
+    def test_lambda_times_area_outside_the_float_range(self, radius):
+        # lambda1 ~ 4.0003, but A(R) ~ 8e307: from lambda ~ 2.5 (1.1 at 177.5)
+        # the sweep is not finite, which once read as a Sturm count
+        model, grid = space_form_model(3, -4.0, radius), RadialGrid(radius, 4096)
+        with pytest.raises(PrecisionError, match=r"^lambda A\(t\) leaves the float range"):
+            shoot_radial_lambda1(model, grid, 1e-8)
+
+    def test_lambda_times_area_inside_the_float_range(self):
+        res = shoot_radial_lambda1(space_form_model(3, -4.0, 177.0), RadialGrid(177.0, 4096), 1e-8)
+        assert (res.lambda1, res.iterations) == (4.000318748862136, 31)
+
     def test_sweep_budget_when_first_guess_is_above_lambda2(self, fine_unit_grid):
         # the first guess 8 j0^2 ~ 46 exceeds lambda2 = j1^2 ~ 30.5 of the
         # disc, so its sweep has two zeros and the bracket halves toward 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
-from ballbound.geometry import RadialGrid, _pchip
+from ballbound.errors import DomainError
+from ballbound.geometry import RadialGrid
 
 
 def test_weights_sum_to_interval_and_stay_positive():
@@ -54,34 +54,41 @@ def test_derivative_exact_for_quartics():
     assert np.max(np.abs(grid.derivative(y) - expect)) < 1e-11
 
 
-@pytest.mark.parametrize("nodes", ["uniform", "non-uniform"])
-@pytest.mark.parametrize("data", ["monotone", "sign-changing", "flat-runs"])
-def test_pchip_equals_scipy_bit_for_bit(nodes, data):
-    rng = np.random.default_rng(7)
-    for n in (3, 4, 9, 65, 257):
-        if nodes == "uniform":
-            x = np.linspace(0.0, rng.uniform(1e-3, 1e3), n)
-        else:
-            x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 2.0, n - 1))])
-        if data == "monotone":
-            y = np.cumsum(rng.exponential(1.0, n)) * rng.choice([-1.0, 1.0])
-        elif data == "sign-changing":
-            y = rng.normal(size=n)
-        else:
-            y = np.repeat(rng.normal(size=n), 3)[:n]  # plateaus of equal values
-        points = np.concatenate([rng.uniform(x[0], x[-1], 500), x])
-        expect = PchipInterpolator(x, y, extrapolate=False)(points)
-        assert np.array_equal(_pchip(x, y)(points), expect)
-        # points outside [x[0], x[-1]] are clamped to it
-        assert np.array_equal(_pchip(x, y)(np.array([-1.0, x[-1] + 1.0])), expect[[-n, -1]])
+def test_hermite_returns_the_samples_at_every_node():
+    rng = np.random.default_rng(3)
+    for radius, intervals in ((1.0, 8), (2.5, 513), (3e106, 4096), (1e-150, 64)):
+        grid = RadialGrid(radius, intervals)
+        y = rng.uniform(0.5, 2.0, grid.nodes.size) * grid.nodes
+        spline = grid.hermite(y)
+        assert np.array_equal(spline(grid.nodes), y)
+        assert spline(grid.radius) == y[-1]
 
 
-def test_pchip_plateau_of_signed_zeros():
-    # a secant of -0.0 next to one of +0.0 has no sign change, and its
-    # harmonic mean is nan: the zero-secant test must set the slope to 0
-    x = np.arange(6.0)
-    y = np.array([1.0, 0.0, -0.0, 0.0, -0.0, 2.0])
-    points = np.linspace(0.0, 5.0, 101)
-    expect = PchipInterpolator(x, y)(points)
-    assert np.array_equal(_pchip(x, y)(points), expect)
+def test_hermite_exact_for_cubics():
+    grid = RadialGrid(2.0, 16)
+    cubic = np.polynomial.Polynomial([-1.0, 5.0, -1.0, 3.0])
+    points = np.linspace(0.0, 2.0, 1001)
+    assert np.max(np.abs(grid.hermite(cubic(grid.nodes))(points) - cubic(points))) < 1e-13
 
+
+def test_hermite_fourth_order_between_nodes():
+    # midpoints of A = 2 pi sin t on [0, 2.5]: each halving of the spacing
+    # shrinks the error 16 times (a shape-preserving PCHIP gains 2.5-7.7)
+    errs = []
+    for n in (64, 128, 256, 512):
+        grid = RadialGrid(2.5, n)
+        mid = grid.nodes[:-1] + 0.5 * grid.spacing
+        spline = grid.hermite(2.0 * np.pi * np.sin(grid.nodes))
+        errs.append(np.max(np.abs(spline(mid) - 2.0 * np.pi * np.sin(mid))))
+    assert all(coarse / fine >= 14.0 for coarse, fine in zip(errs, errs[1:]))
+
+
+def test_hermite_reads_only_the_ball():
+    grid = RadialGrid(1.0, 8)
+    y = grid.nodes**2
+    spline = grid.hermite(y)
+    # points within 1e-12 R of [0, R] are clamped to it
+    assert np.array_equal(spline(np.array([-1e-13, 1.0 + 1e-13])), y[[0, -1]])
+    for outside in (-1e-9, 1.0 + 1e-9):
+        with pytest.raises(DomainError, match="outside"):
+            spline(outside)

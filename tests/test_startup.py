@@ -88,7 +88,7 @@ def test_radial_commands_load_no_scipy(tmp_path):
 
 
 def test_polar_symmetrization_loads_no_scipy(tmp_path):
-    # the area of a 2-D density is interpolated by the package's own PCHIP
+    # the area of a 2-D density is interpolated by the grid's own Hermite rule
     polar = tmp_path / "polar.json"
     polar.write_text(json.dumps({"kind": "polar2d", "rho": "r*(1 + 0.3*sin(3*theta))"}))
     proc = run_python("-c", POLAR_COMMANDS, str(polar))

@@ -92,12 +92,11 @@ ERROR_PATHS = [
     ("compare reference off the centre law",
      ["compare", "--builtin", "euclidean", "--ref-warping", "2*t"], None),
     ("compare reference that overflows", ["compare", "--builtin", "euclidean", "--kappa=-1e6"], None),
-    ("polar interpolant cube overflows symmetrize", ["symmetrize", "--config", "{config}"],
-     {"kind": "polar2d", "rho": "r", "radius": 3e106}),
-    ("polar interpolant overflows bound", ["bound", "--config", "{config}"],
-     {"kind": "polar2d", "rho": "r", "radius": 1e150}),
-    ("polar interpolant coefficients overflow compare", ["compare", "--config", "{config}"],
-     {"kind": "polar2d", "rho": "r", "radius": 1e-160}),
+    ("shooting sweep leaves the float range",
+     ["oracle", "--builtin", "hyperbolic", "--kappa=-4", "--dimension", "3", "--radius", "177.3"],
+     None),
+    ("grid too large to allocate",
+     ["symmetrize", "--builtin", "euclidean", "--grid", str(10**15)], None),
     ("2-D oracle eigenvalue underflows", ["oracle", "--config", "{config}"],
      {"kind": "polar2d", "rho": "r", "radius": 1e180}),
     ("2-D oracle eigenvalue overflows", ["oracle", "--config", "{config}"],
@@ -118,7 +117,8 @@ BUMPED = {"kind": "polar2d", "radius": 3,
 # the shooting cells off the benchmark's n <= 3, radius 0.3-8: dimensions 20
 # to 50, spherical balls near the conjugate point pi, hyperbolic areas up to
 # e^600, and eigenvalues near 6e8, where the root search ends on adjacent
-# floats, and near 6e-300
+# floats, and near 6e-300; and a density symmetrized at radii 1e-160, 3e106
+# and 1e150, far from the benchmark's
 SUCCESS_PATHS = [
     ("bound grid 16", ["bound", "--builtin", "euclidean", "--grid", "16"], None),
     ("moment grid 8", ["bound", "--builtin", "euclidean", "--grid", "8"], None),
@@ -155,6 +155,12 @@ SUCCESS_PATHS = [
      ["oracle", "--builtin", "hyperbolic", "--dimension", "3", "--radius", "300"], None),
     ("oracle radius 1e-4", ["oracle", "--builtin", "euclidean", "--radius", "1e-4"], None),
     ("oracle radius 1e150", ["oracle", "--builtin", "euclidean", "--radius", "1e150"], None),
+    ("polar density symmetrize radius 3e106", ["symmetrize", "--config", "{config}"],
+     {"kind": "polar2d", "rho": "r", "radius": 3e106}),
+    ("polar density bound radius 1e150", ["bound", "--config", "{config}"],
+     {"kind": "polar2d", "rho": "r", "radius": 1e150}),
+    ("polar density symmetrize radius 1e-160", ["symmetrize", "--config", "{config}"],
+     {"kind": "polar2d", "rho": "r", "radius": 1e-160}),
 ]
 
 
