@@ -354,23 +354,17 @@ def cmd_compare(args, cfg: ModelConfig, target, report: dict, stage: Stages) -> 
         warping = _expression_fn(ref_warping, KINDS["warping"][1], cfg.radius, kappa_ref)
     area_ref = area_from_warping(cfg.dimension, cfg.radius, warping)
     with stage("compare"):
-        outcome = cheng_report(
-            target,
-            area_ref,
-            grid,
-            args.tol,
-            m_theta=args.theta,
-            k_max=args.kmax,
-            model_id=cfg.name,
+        comparison, converged = cheng_report(
+            target, area_ref, grid, args.tol, m_theta=args.theta, k_max=args.kmax
         )
-    report["comparison"] = outcome.to_dict()
-    report["bound"] = outcome.bound
+    report["comparison"] = {"model_id": cfg.name, **comparison}
+    report["bound"] = comparison["bound"]
     report["tolerances"] = {
         "estimator_relative_cauchy": args.tol,
         "oracle_bisection_width": args.tol,
-        "combined": outcome.combined_tolerance,
+        "combined": comparison["combined_tolerance"],
     }
-    supported = outcome.converged and outcome.verdict != BOUND_BELOW_REFERENCE
+    supported = converged and comparison["verdict"] != BOUND_BELOW_REFERENCE
     return 0 if supported else 3
 
 
@@ -392,7 +386,7 @@ def cmd_paper_example(args, cfg: ModelConfig, metric, report: dict, stage: Stage
         oracle = report["oracle"] = _oracle_2d(metric, args)
 
     with stage("sharpness"):
-        radiality, sharp = equality_criterion(metric, area, grid, args.theta, max(args.tol, 1e-9))
+        radiality, sharp = equality_criterion(metric, area, grid, args.theta, args.tol)
         gap = report["bound"] - oracle["lambda1"]
         report["comparison"] = {
             "area_max_error": area_err,

@@ -8,8 +8,6 @@ symmetrized metric.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DomainError
@@ -20,7 +18,6 @@ from .geometry import (
     _area_samples,
     _circle_curvature,
     area_of,
-    radiality_deviation,
 )
 from .moments import run_until_converged
 from .oracle import shoot_radial_lambda1
@@ -31,29 +28,6 @@ EQUALITY_CANDIDATE = "equality-candidate"
 HYPOTHESIS_FAILS = "hypothesis-fails"
 
 DEFAULT_SLACK = 1e-10
-
-
-class ComparisonReport(NamedTuple):
-    """Outcome of one bound-versus-reference comparison.
-
-    ``converged`` says whether the hierarchy behind ``bound`` met its tolerance.
-    """
-
-    model_id: str
-    bound: float
-    reference_lambda: float
-    monotone_ok: bool
-    ratio_profile: np.ndarray
-    radiality: float
-    verdict: str
-    combined_tolerance: float
-    converged: bool
-
-    def to_dict(self) -> dict:
-        """The report's comparison block: every field but ``converged``."""
-        fields = self._asdict()
-        del fields["converged"]
-        return {**fields, "ratio_profile": [float(x) for x in self.ratio_profile]}
 
 
 def monotonicity_check(
@@ -84,27 +58,31 @@ def cheng_report(
     *,
     m_theta: int = 256,
     k_max: int = 200,
-    model_id: str = "model",
-) -> ComparisonReport:
+) -> tuple[dict, bool]:
     """Compare the symmetrization bound of ``target``, an area function or a
     2-D metric, against the reference model of sphere area ``area_ref``.
+
+    Returns ``(comparison, converged)``.  ``comparison`` is the report's
+    comparison block: ``bound``, ``reference_lambda``, ``monotone_ok``,
+    ``ratio_profile``, ``radiality``, ``verdict`` and ``combined_tolerance``.
+    ``converged`` is false when the hierarchy ran out of ``k_max`` levels, so
+    ``bound`` is unsupported.
 
     The two areas must share a dimension.  The verdict is ``hypothesis-fails``
     when the area-ratio monotonicity fails, ``bound-below-reference`` when the
     areas agree within ``DEFAULT_SLACK`` yet the bound lies below the reference
     eigenvalue by more than the combined tolerance, ``equality-candidate`` when
-    bound, reference and the radiality test agree within tolerance, and
-    ``bound-holds`` otherwise.  ``converged`` is false when the hierarchy
-    ran out of ``k_max`` levels, so ``bound`` is unsupported.
+    bound and reference agree within tolerance and a metric passes
+    :func:`equality_criterion`, and ``bound-holds`` otherwise.
     """
     area_g = area_of(target, grid, m_theta)
     if area_ref.dimension != area_g.dimension:
         raise DomainError(
             f"reference dimension {area_ref.dimension} differs from the model's {area_g.dimension}"
         )
-    deviation = 0.0
+    radiality, radial = 0.0, True
     if isinstance(target, PolarMetric2D):
-        deviation = radiality_deviation(target, grid, m_theta)
+        radiality, radial = equality_criterion(target, area_g, grid, m_theta, tol)
 
     monotone_ok, profile = monotonicity_check(area_g, area_ref, grid)
     norm_series, _, _ = run_until_converged(area_g, grid, tol, k_max)
@@ -117,21 +95,19 @@ def cheng_report(
     elif bound < reference.lambda1 - combined and np.all(np.abs(profile - 1.0) <= DEFAULT_SLACK):
         # equal areas: the norm ratios bound the reference eigenvalue from above
         verdict = BOUND_BELOW_REFERENCE
-    elif abs(bound - reference.lambda1) <= combined and deviation <= max(tol, 1e-8):
+    elif abs(bound - reference.lambda1) <= combined and radial:
         verdict = EQUALITY_CANDIDATE
     else:
         verdict = BOUND_HOLDS
-    return ComparisonReport(
-        model_id=model_id,
-        bound=bound,
-        reference_lambda=reference.lambda1,
-        monotone_ok=monotone_ok,
-        ratio_profile=profile,
-        radiality=deviation,
-        verdict=verdict,
-        combined_tolerance=combined,
-        converged=norm_series.converged,
-    )
+    return {
+        "bound": bound,
+        "reference_lambda": reference.lambda1,
+        "monotone_ok": monotone_ok,
+        "ratio_profile": profile.tolist(),
+        "radiality": radiality,
+        "verdict": verdict,
+        "combined_tolerance": combined,
+    }, norm_series.converged
 
 
 def equality_criterion(
@@ -146,8 +122,11 @@ def equality_criterion(
     Returns the radiality, the largest angular spread of the mean curvature
     over the interior circles, and whether the metric is sharp: every such
     spread is within ``tol`` and each circle's angular mean of H matches
-    w'/w = A'/A of the symmetrized metric within ``tol``.
+    w'/w = A'/A of the symmetrized metric within ``tol``.  A ``tol`` below
+    1e-9 counts as 1e-9.
     """
+    # H is a finite-difference quotient: its noise (about 1e-11) must not decide
+    tol = max(tol, 1e-9)
     spread, mean = _circle_curvature(metric, grid, m_theta)
     radiality = float(np.max(spread))
     if radiality > tol:

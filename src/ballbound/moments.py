@@ -70,9 +70,8 @@ def hierarchy(area: AreaFunction, grid: RadialGrid):
             integrand = np.zeros_like(inner)
             # (int_0^s T A)/A(s) ~ s * T(0)/n near 0: extend by its limit 0.
             integrand[1:] = inner[1:] / a[1:]
-            outer = grid.cumulative(integrand)
-            raw = outer[-1] - outer
-            raw[-1] = 0.0
+            # int_t^R summed from R inward (the rule is mirror-symmetric): no cancellation
+            raw = grid.cumulative(integrand[::-1])[::-1]
             center = float(raw[0])
             if not math.isfinite(center) or center <= 0.0:
                 raise PrecisionError(f"moment level degenerated (center value {center})")

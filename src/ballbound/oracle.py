@@ -283,13 +283,14 @@ def build_discrete_laplacian(metric: PolarMetric2D, mesh: Mesh2D):
     radius = metric.radius
     dr = radius / m_r
     dth = 2.0 * math.pi / m_t
+    # ring masses row by row, then the center's; first, so a mesh too large fails at once
+    mass = np.empty((m_r - 1) * m_t + 1)
     r_ring = dr * np.arange(1, m_r)
     theta = dth * np.arange(m_t)
 
     r_face = dr * (np.arange(m_r) + 0.5)
     # one density sample at a time, scaled into its array (times dth < 1, it cannot overflow)
     c_rad = _density(metric, r_face[:, None], theta[None, :]) * dth
-    mass = np.empty(r_ring.size * m_t + 1)  # ring masses row by row, then the center's
     np.copyto(mass[:-1].reshape(-1, m_t), _density(metric, r_ring[:, None], theta[None, :]))
     c_ang = dth * _density(metric, r_ring[:, None], (theta + 0.5 * dth)[None, :])
     mass[-1] = np.sum(_density(metric, 0.25 * dr, theta)) * 0.5

@@ -128,7 +128,7 @@ def test_criterion_5_hyperbolic_ball_and_cheng():
     )
     flat_area = euclidean_model(2, radius)
     monotone_ok, _ = monotonicity_check(flat_area, hyperbolic, grid)
-    report = cheng_report(euclidean_model(2, radius), hyperbolic, grid, 1e-8)
+    report, _ = cheng_report(euclidean_model(2, radius), hyperbolic, grid, 1e-8)
     checks = [
         *[
             (
@@ -138,9 +138,9 @@ def test_criterion_5_hyperbolic_ball_and_cheng():
             for series in (norm, center, mass)
         ],
         (monotone_ok, "flat/hyperbolic area ratio decreases"),
-        (report.verdict == BOUND_HOLDS, f"verdict {report.verdict}"),
+        (report["verdict"] == BOUND_HOLDS, f"verdict {report['verdict']}"),
         (
-            report.bound <= report.reference_lambda + report.combined_tolerance,
+            report["bound"] <= report["reference_lambda"] + report["combined_tolerance"],
             "flat bound below the hyperbolic reference",
         ),
     ]

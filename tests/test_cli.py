@@ -37,6 +37,19 @@ class TestBound:
         assert report["series"]["converged"]
         assert len(report["series"]["center"]) == len(report["series"]["mass"])
 
+    def test_hyperbolic_ball_whose_levels_decay_below_rounding(self, tmp_path):
+        # sin(pi t/R)/sinh t falls below 1e-16 of its centre value from t ~ 35;
+        # levels formed as a difference from the centre lost that tail and
+        # converged at +4.5e-3 with exit 0
+        tol = 1e-8
+        code, report = run_json(
+            tmp_path,
+            "bound", "--builtin", "hyperbolic", "--dimension", "3", "--radius", "50",
+            "--kmax", "2000",
+        )
+        assert code == 0 and report["series"]["converged"]
+        assert report["bound"] == pytest.approx(1.0 + PI_SQUARED / 2500.0, rel=tol, abs=0.0)
+
     def test_smallest_grid(self, tmp_path):
         # the grid's minimum of 8 intervals is the hierarchy's too; it used to need 16
         code, report = run_json(tmp_path, "bound", "--builtin", "euclidean", "--grid", "8")
@@ -306,6 +319,24 @@ class TestCompare:
         assert comp["monotone_ok"] is True
         assert comp["bound"] < comp["reference_lambda"] - comp["combined_tolerance"]
         assert comp["verdict"] == "bound-below-reference"
+
+    @pytest.mark.parametrize(
+        "tol, verdict", [("1e-10", "bound-holds"), ("1e-8", "equality-candidate")]
+    )
+    def test_equality_needs_the_sharpness_test(self, tmp_path, tol, verdict):
+        # circles of length 2 pi t whose curvature spreads by 4e-9: radial at the
+        # default tol, not at 1e-10, where compare's own floor of 1e-8 used to
+        # call it an equality candidate while equality_criterion said not sharp
+        cfg = tmp_path / "tilt.json"
+        cfg.write_text(
+            json.dumps({"kind": "polar2d", "rho": "r*(1+1e-9*r^2*sin(theta))", "radius": 1})
+        )
+        code, report = run_json(tmp_path, "compare", "--config", str(cfg), "--tol", tol)
+        assert code == 0
+        comp = report["comparison"]
+        assert 1e-9 < comp["radiality"] < 1e-8
+        assert abs(comp["bound"] - comp["reference_lambda"]) <= comp["combined_tolerance"]
+        assert comp["verdict"] == verdict
 
 
 class TestPaperExample:

@@ -86,34 +86,34 @@ class TestMonotonicityCheck:
 class TestChengReport:
     def test_flat_versus_hyperbolic(self, unit_grid):
         hyperbolic = space_form_model(2, -1.0, 1.0)
-        report = cheng_report(euclidean_model(2, 1.0), hyperbolic, unit_grid, 1e-8)
-        assert report.verdict == BOUND_HOLDS
-        assert report.monotone_ok
-        assert report.bound == pytest.approx(J0_SQUARED, abs=1e-3)
-        assert report.bound <= report.reference_lambda + report.combined_tolerance
+        report, _ = cheng_report(euclidean_model(2, 1.0), hyperbolic, unit_grid, 1e-8)
+        assert report["verdict"] == BOUND_HOLDS
+        assert report["monotone_ok"]
+        assert report["bound"] == pytest.approx(J0_SQUARED, abs=1e-3)
+        assert report["bound"] <= report["reference_lambda"] + report["combined_tolerance"]
 
     def test_reflexive_comparison_is_equality(self, unit_grid):
         for kappa in (-1.0, 0.0, 0.5):
             model = space_form_model(2, kappa, 1.0)
-            report = cheng_report(model, model, unit_grid, 1e-8)
-            assert report.verdict == EQUALITY_CANDIDATE
-            assert abs(report.bound - report.reference_lambda) <= report.combined_tolerance
+            report, _ = cheng_report(model, model, unit_grid, 1e-8)
+            assert report["verdict"] == EQUALITY_CANDIDATE
+            assert abs(report["bound"] - report["reference_lambda"]) <= report["combined_tolerance"]
 
     def test_hypothesis_failure_is_a_verdict(self, unit_grid):
         spherical = space_form_model(2, 1.0, 1.0)
-        report = cheng_report(space_form_model(2, -1.0, 1.0), spherical, unit_grid, 1e-8)
-        assert report.verdict == HYPOTHESIS_FAILS
-        assert not report.monotone_ok
+        report, _ = cheng_report(space_form_model(2, -1.0, 1.0), spherical, unit_grid, 1e-8)
+        assert report["verdict"] == HYPOTHESIS_FAILS
+        assert not report["monotone_ok"]
 
     def test_bumped_disc_rejects_equality(self):
         grid = RadialGrid(3.0, 512)
-        report = cheng_report(
-            bumped_disc_metric(3.0), euclidean_model(2, 3.0), grid, 1e-8, m_theta=64, model_id="bumped"
+        report, _ = cheng_report(
+            bumped_disc_metric(3.0), euclidean_model(2, 3.0), grid, 1e-8, m_theta=64
         )
-        assert report.monotone_ok
-        assert report.verdict == BOUND_HOLDS
-        assert report.radiality > 1e-3
-        assert report.bound == pytest.approx(J0_SQUARED / 9.0, abs=1e-6)
+        assert report["monotone_ok"]
+        assert report["verdict"] == BOUND_HOLDS
+        assert report["radiality"] > 1e-3
+        assert report["bound"] == pytest.approx(J0_SQUARED / 9.0, abs=1e-6)
 
     def test_bound_below_the_reference_of_equal_areas(self, unit_grid, monkeypatch):
         shoot = ballbound.compare.shoot_radial_lambda1
@@ -123,24 +123,24 @@ class TestChengReport:
             return result._replace(lambda1=result.lambda1 * (1.0 + 1e-4))
 
         monkeypatch.setattr(ballbound.compare, "shoot_radial_lambda1", shoot_high)
-        report = cheng_report(euclidean_model(2, 1.0), euclidean_model(2, 1.0), unit_grid, 1e-8)
-        assert report.monotone_ok
-        assert report.reference_lambda > report.bound + report.combined_tolerance
-        assert report.verdict == BOUND_BELOW_REFERENCE
+        report, _ = cheng_report(euclidean_model(2, 1.0), euclidean_model(2, 1.0), unit_grid, 1e-8)
+        assert report["monotone_ok"]
+        assert report["reference_lambda"] > report["bound"] + report["combined_tolerance"]
+        assert report["verdict"] == BOUND_BELOW_REFERENCE
         # flat over hyperbolic areas decrease: a bound below the reference is the theorem's claim
         hyperbolic = space_form_model(2, -1.0, 1.0)
-        report = cheng_report(euclidean_model(2, 1.0), hyperbolic, unit_grid, 1e-8)
-        assert report.verdict == BOUND_HOLDS
+        report, _ = cheng_report(euclidean_model(2, 1.0), hyperbolic, unit_grid, 1e-8)
+        assert report["verdict"] == BOUND_HOLDS
 
     def test_general_warping_reference(self, unit_grid):
         # reference W(t) = sinh(t): same as kappa = -1
         reference = area_from_warping(2, 1.0, lambda t: np.sinh(np.asarray(t, dtype=float)))
-        via_warping = cheng_report(euclidean_model(2, 1.0), reference, unit_grid, 1e-8)
+        via_warping, _ = cheng_report(euclidean_model(2, 1.0), reference, unit_grid, 1e-8)
         hyperbolic = space_form_model(2, -1.0, 1.0)
-        via_kappa = cheng_report(euclidean_model(2, 1.0), hyperbolic, unit_grid, 1e-8)
-        assert via_warping.verdict == via_kappa.verdict == BOUND_HOLDS
-        assert via_warping.reference_lambda == pytest.approx(
-            via_kappa.reference_lambda, rel=1e-9
+        via_kappa, _ = cheng_report(euclidean_model(2, 1.0), hyperbolic, unit_grid, 1e-8)
+        assert via_warping["verdict"] == via_kappa["verdict"] == BOUND_HOLDS
+        assert via_warping["reference_lambda"] == pytest.approx(
+            via_kappa["reference_lambda"], rel=1e-9
         )
 
     def test_reference_of_another_dimension_is_rejected(self, unit_grid):
@@ -157,13 +157,11 @@ class TestChengReport:
                 if kappa > 0.0 and metric.radius >= math.pi / math.sqrt(kappa):
                     continue
                 reference = space_form_model(2, kappa, metric.radius)
-                report = cheng_report(
-                    metric, reference, grid, 1e-8, m_theta=64, model_id=label
-                )
-                if report.monotone_ok:
+                report, _ = cheng_report(metric, reference, grid, 1e-8, m_theta=64)
+                if report["monotone_ok"]:
                     assert (
-                        report.bound
-                        <= report.reference_lambda + report.combined_tolerance
+                        report["bound"]
+                        <= report["reference_lambda"] + report["combined_tolerance"]
                     ), (label, kappa)
 
 

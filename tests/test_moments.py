@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 
 from ballbound.errors import DomainError, InvalidAreaError, PrecisionError
 from ballbound.geometry import (
@@ -108,6 +109,16 @@ class TestConvergedEstimates:
         norm, center, mass = run_until_converged(model, grid, 1e-9, 200)
         oracle = shoot_radial_lambda1(model, grid, 1e-10)
         assert abs(norm.final - oracle.lambda1) <= 1e-3 * oracle.lambda1
+
+    @pytest.mark.parametrize("dimension", [20, 24])
+    def test_high_dimension_norm_ratio(self, dimension):
+        # the eigenfunction falls far below its centre value before the rim; each
+        # level is summed from the rim, so its tail keeps its relative digits
+        norm, _, _ = run_until_converged(
+            euclidean_model(dimension, 1.0), RadialGrid(1.0, 4096), 1e-8, 200
+        )
+        exact = float(jn_zeros(dimension // 2 - 1, 1)[0] ** 2)
+        assert norm.final == pytest.approx(exact, rel=1e-11, abs=0.0)
 
 
 class TestScaling:

@@ -27,6 +27,7 @@ from ballbound.oracle import Mesh2D, eigen_2d_polar, eigen_2d_refined, shoot_rad
 from conftest import (
     J0_SQUARED,
     PI_SQUARED,
+    counting_metric,
     metric_suite,
     model_suite,
     operator_defects,
@@ -317,6 +318,14 @@ class TestEigen2D:
         # two conductance arrays and the masses, 0.5 MiB each at 256^2, plus
         # one density sample: 2.1 MiB; all four samples held at once, 3.5 MiB
         assert peak < 2.5 * 2**20
+
+    def test_impossible_mesh_fails_before_sampling(self):
+        # 1e14 masses (800 TB) cannot be allocated: numpy must refuse them before
+        # the 1-D ring and face arrays (240 MB here) and any density sample
+        metric, calls = counting_metric(bumped_disc_metric(3.0))
+        with pytest.raises(MemoryError):
+            oracle.build_discrete_laplacian(metric, Mesh2D(10**7, 10**7))
+        assert calls == []
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_LOBPCG_ITERATIONS", 3)
