@@ -82,12 +82,14 @@ def hierarchy(area: AreaFunction, grid: RadialGrid):
             raise PrecisionError("estimator integrals underflowed; raise N")
 
 
-def _series(kind: str, k_start: int, values: list[float], converged: bool) -> EstimateSeries:
+def _series(
+    kind: str, k_start: int, values: list[float], converged: bool, noise: float
+) -> EstimateSeries:
     rate = None
     if len(values) >= 3:
         d1 = abs(values[-1] - values[-2])
         d0 = abs(values[-2] - values[-3])
-        if d0 > 0.0:
+        if min(d0, d1) > noise * math.ulp(values[-1]):  # else the differences are rounding
             rate = d1 / d0
     ks = tuple(range(k_start, k_start + len(values)))
     return EstimateSeries(kind, ks, tuple(values), converged, values[-1], rate)
@@ -128,8 +130,9 @@ def run_until_converged(
             break
         mass_prev, sq_prev = mass_cur, sq_cur
 
+    noise = math.sqrt(grid.intervals)  # rounding of N-term sums grows like sqrt(N) ulps
     return (
-        _series(NORM_RATIO, 0, norms, converged),
-        _series(CENTER_RATIO, 1, centers, converged),
-        _series(MASS_RATIO, 1, masses, converged),
+        _series(NORM_RATIO, 0, norms, converged, noise),
+        _series(CENTER_RATIO, 1, centers, converged, noise),
+        _series(MASS_RATIO, 1, masses, converged, noise),
     )

@@ -201,6 +201,15 @@ class TestStoppingAndErrors:
         assert center.rate is not None
         assert 0.05 < center.rate < 0.5
 
+    def test_no_rate_from_differences_at_rounding(self):
+        # the CLI's default grid and tol: the norm ratio settles to within 6 and
+        # 8 ulps, under the sqrt(4096) = 64 ulp floor, while the others still run
+        norm, center, mass = run_until_converged(disc_area(), RadialGrid(1.0, 4096))
+        assert norm.converged
+        assert norm.rate is None
+        assert 0.15 < center.rate < 0.25
+        assert 0.15 < mass.rate < 0.25
+
     def test_small_grid_rejected(self):
         # the grid's own minimum of 8 intervals is the only one; the hierarchy runs on it
         with pytest.raises(DomainError, match="at least 8 intervals"):

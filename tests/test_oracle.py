@@ -306,11 +306,22 @@ class TestEigen2D:
 
     def test_peak_memory_is_a_few_mesh_vectors(self):
         metric, mesh = bumped_disc_metric(3.0), Mesh2D(256, 256)
+        eigen_2d_polar(metric, Mesh2D(16, 16))  # numpy.fft loads on first use, not in the trace
         peak = traced_peak(lambda: eigen_2d_polar(metric, mesh))
-        # a mesh vector is 0.5 MiB at 256^2; the operators (about 4 vectors),
-        # a 3 x N basis, one image vector and the temporaries of one apply
-        # peak at 5.2 MiB, a second 3 x N array of images under K at 6.7 MiB
-        assert peak < 5.5 * 2**20
+        # a mesh vector is 0.5 MiB at 256^2: the masses and two conductance
+        # arrays (3 vectors), the 3 x N basis, one image vector and the
+        # theta-averaged factors (one vector) hold 8; one apply's flux buffer
+        # and numpy's ufunc buffers add 1.4, a peak of 4.7 MiB; a second flux
+        # buffer held beside the first reads 10.4 vectors, 5.2 MiB
+        assert peak < 4.75 * 2**20
+
+    def test_refined_pair_holds_no_coarse_eigenvector(self):
+        metric = bumped_disc_metric(3.0)
+        eigen_2d_polar(metric, Mesh2D(16, 16))  # numpy.fft loads on first use, not in the trace
+        peak = traced_peak(lambda: eigen_2d_refined(metric, Mesh2D(128, 128)))
+        # the 256^2 solve's 4.7 MiB alone; the 128^2 eigenvector (a quarter
+        # of a fine vector) held through it reads 5.3 MiB
+        assert peak < 4.75 * 2**20
 
     def test_assembly_holds_one_density_sample_at_a_time(self):
         metric, mesh = bumped_disc_metric(3.0), Mesh2D(256, 256)
