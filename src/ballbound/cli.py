@@ -34,23 +34,25 @@ error, 3 bound not supported (estimators did not converge, or ``compare``
 found it below the reference), 4 solver failure (bracket, iteration),
 5 invalid model/metric/area input.  Each error class in :mod:`ballbound.errors`
 carries its exit code and stderr label.
+
+Importing this module runs ``geometry`` and ``errors``; ``compare``, ``exprparse``,
+``moments`` and ``oracle`` run on first use, so ``bound --builtin`` runs ``moments`` alone.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
+import importlib.util
 import json
 import math
+import os
 import re
 import sys
 import time
 
 import numpy as np
 
-from .compare import BOUND_BELOW_REFERENCE, cheng_report, equality_criterion
 from .errors import BallboundError, ConfigError, InvalidMetricError
-from .exprparse import evaluate, free_variables, parse
 from .geometry import (
     AreaFunction,
     PolarMetric2D,
@@ -64,8 +66,21 @@ from .geometry import (
     space_form_warping,
     warping_from_area,
 )
-from .moments import run_until_converged
-from .oracle import Mesh2D, eigen_2d_refined, shoot_radial_lambda1
+
+
+def _lazy(name: str):
+    """Module ``ballbound.<name>``: the loaded one, or one that runs on first attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = module = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[fullname]
+
+
+compare, exprparse, moments, oracle = map(_lazy, ("compare", "exprparse", "moments", "oracle"))
 
 # builtin name -> (its curvature when none is given, None for one that takes
 # none; the dimension it fixes, None for any; its radius when none is given)
@@ -218,15 +233,15 @@ def _parse_builtin(cfg: ModelConfig, radius_given: bool) -> tuple[str, float | N
 
 def _expression_fn(source: str, variables: tuple[str, ...], radius: float, kappa: float):
     """The vectorized callable of expression ``source`` in ``variables``, with R and kappa bound."""
-    tree = parse(source)
-    stray = free_variables(tree) - {*variables, "R", "kappa"}
+    tree = exprparse.parse(source)
+    stray = exprparse.free_variables(tree) - {*variables, "R", "kappa"}
     if stray:
         raise ConfigError(
             f"expression {source!r} uses unsupported variable(s) {sorted(stray)}"
         )
 
     def fn(*args):
-        return evaluate(tree, dict(zip(variables, args), R=radius, kappa=kappa))
+        return exprparse.evaluate(tree, dict(zip(variables, args), R=radius, kappa=kappa))
 
     return fn
 
@@ -274,7 +289,7 @@ class Stages(dict):
 
 def _report_series(area: AreaFunction, grid: RadialGrid, args, report: dict) -> int:
     """Fill the report's series and bound from the hierarchy; exit code 3 if it did not converge."""
-    norm, center, mass = run_until_converged(area, grid, args.tol, args.kmax)
+    norm, center, mass = moments.run_until_converged(area, grid, args.tol, args.kmax)
     series = {"norm": norm, "center": center, "mass": mass}
     report["series"] = {
         **{key: list(s.values) for key, s in series.items()},
@@ -299,7 +314,8 @@ def cmd_bound(args, cfg: ModelConfig, target, report: dict, stage: Stages) -> in
 
 def _oracle_2d(metric: PolarMetric2D, args) -> dict:
     """Report block of the 2-D oracle: the refined-mesh solve and its Richardson estimate."""
-    result, estimate, extrapolated = eigen_2d_refined(metric, Mesh2D(*args.mesh), args.tol)
+    mesh = oracle.Mesh2D(*args.mesh)
+    result, estimate, extrapolated = oracle.eigen_2d_refined(metric, mesh, args.tol)
     return {
         "lambda1": result.lambda1,
         "richardson": estimate,
@@ -319,7 +335,8 @@ def cmd_oracle(args, cfg: ModelConfig, target, report: dict, stage: Stages) -> i
                 "oracle_richardson": report["oracle"]["richardson"],
             }
         else:
-            result = shoot_radial_lambda1(target, RadialGrid(cfg.radius, args.grid), args.tol)
+            grid = RadialGrid(cfg.radius, args.grid)
+            result = oracle.shoot_radial_lambda1(target, grid, args.tol)
             report["oracle"] = {
                 "lambda1": result.lambda1,
                 "richardson": None,
@@ -354,7 +371,7 @@ def cmd_compare(args, cfg: ModelConfig, target, report: dict, stage: Stages) -> 
         warping = _expression_fn(ref_warping, KINDS["warping"][1], cfg.radius, kappa_ref)
     area_ref = area_from_warping(cfg.dimension, cfg.radius, warping)
     with stage("compare"):
-        comparison, converged = cheng_report(
+        comparison, converged = compare.cheng_report(
             target, area_ref, grid, args.tol, m_theta=args.theta, k_max=args.kmax
         )
     report["comparison"] = {"model_id": cfg.name, **comparison}
@@ -364,7 +381,7 @@ def cmd_compare(args, cfg: ModelConfig, target, report: dict, stage: Stages) -> 
         "oracle_bisection_width": args.tol,
         "combined": comparison["combined_tolerance"],
     }
-    supported = converged and comparison["verdict"] != BOUND_BELOW_REFERENCE
+    supported = converged and comparison["verdict"] != compare.BOUND_BELOW_REFERENCE
     return 0 if supported else 3
 
 
@@ -383,16 +400,16 @@ def cmd_paper_example(args, cfg: ModelConfig, metric, report: dict, stage: Stage
         code = _report_series(area, grid, args, report)
 
     with stage("oracle-2d"):
-        oracle = report["oracle"] = _oracle_2d(metric, args)
+        solve = report["oracle"] = _oracle_2d(metric, args)
 
     with stage("sharpness"):
-        radiality, sharp = equality_criterion(metric, area, grid, args.theta, args.tol)
-        gap = report["bound"] - oracle["lambda1"]
+        radiality, sharp = compare.equality_criterion(metric, area, grid, args.theta, args.tol)
+        gap = report["bound"] - solve["lambda1"]
         report["comparison"] = {
             "area_max_error": area_err,
             "gap": gap,
-            "gap_extrapolated": report["bound"] - oracle["lambda1_extrapolated"],
-            "strict_inequality": bool(gap > oracle["richardson"]),
+            "gap_extrapolated": report["bound"] - solve["lambda1_extrapolated"],
+            "strict_inequality": bool(gap > solve["richardson"]),
             "radiality": radiality,
             "equality_criterion": sharp,
         }
@@ -601,13 +618,17 @@ def main(argv=None) -> int:
 def run() -> None:
     """Process entry point of ``ballbound`` and ``python -m ballbound.cli``.
 
-    Once :func:`main` has written its report, the heap is frozen, so the
-    interpreter's final collection at exit skips every object that numpy and
-    ballbound made; ``main`` itself leaves the collector alone.
+    Once :func:`main` has written its report, stdout and stderr are flushed and
+    the process ends by ``os._exit``, with no interpreter teardown; a flush that
+    fails (a closed pipe) falls back to ``sys.exit``.  ``main`` does neither.
     """
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -418,7 +418,7 @@ class TestConfigFiles:
         assert report["bound"] == pytest.approx(J0_SQUARED, abs=1e-3)
 
     def test_theta_independent_density_is_evaluated_on_arrays(self, tmp_path, monkeypatch):
-        import ballbound.cli as cli
+        import ballbound.exprparse as exprparse
 
         calls = []
 
@@ -426,7 +426,7 @@ class TestConfigFiles:
             calls.append(bindings)
             return evaluate(tree, bindings)
 
-        monkeypatch.setattr(cli, "evaluate", counted)
+        monkeypatch.setattr(exprparse, "evaluate", counted)
         cfg = tmp_path / "rho.json"
         cfg.write_text(json.dumps({"kind": "polar2d", "rho": "r", "radius": 1}))
         code, report = run_json(tmp_path, "bound", "--config", str(cfg))
@@ -1221,16 +1221,42 @@ class TestProcessEntry:
                      "--output", str(tmp_path / "r.json")]) == 0
         assert gc.get_freeze_count() == before
 
-    def test_process_entry_freezes_the_heap(self):
+    @pytest.fixture(params=["unbuffered", "buffered"])
+    def stdout_buffering(self, request, monkeypatch):
+        # under PYTHONUNBUFFERED a report reaches stdout as main writes it;
+        # otherwise it waits in the buffer that run() flushes
+        if request.param == "unbuffered":
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        return request.param
+
+    def test_process_entry_skips_teardown(self, capsys, stdout_buffering):
+        # run() flushes the report and ends by os._exit, so no atexit hook runs
+        args = ["bound", "--builtin", "euclidean", "--grid", "64", "--format", "csv"]
+        code = main(args)
+        captured = capsys.readouterr()
         script = (
-            "import atexit, gc, sys; from ballbound.cli import run;"
-            " atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr));"
+            "import atexit, sys; from ballbound.cli import run;"
+            " atexit.register(print, 'teardown', file=sys.stderr);"
+            f" sys.argv[1:] = {args!r}; run()"
+        )
+        proc = run_python("-c", script)
+        assert code == 0 and captured.out.startswith("k,norm_ratio,center_ratio,mass_ratio\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+    def test_process_entry_on_a_closed_pipe(self, stdout_buffering):
+        # the reader of stdout is gone: an unbuffered write fails inside main,
+        # a buffered one in run()'s flush, which leaves the exit to the interpreter
+        script = (
+            "import os, sys; r, w = os.pipe(); os.close(r); os.dup2(w, 1);"
+            " from ballbound.cli import run;"
             " sys.argv[1:] = ['bound', '--builtin', 'euclidean', '--grid', '64', '--format', 'csv'];"
             " run()"
         )
         proc = run_python("-c", script)
-        assert proc.returncode == 0
-        assert proc.stderr == "True\n"
+        assert proc.returncode == (1 if stdout_buffering == "unbuffered" else 120)
+        assert proc.stderr.splitlines()[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
 
     @pytest.mark.parametrize(
         "args,config,expected",
