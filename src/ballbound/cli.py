@@ -11,9 +11,10 @@ paper-example   one-shot reproduction of the built-in bumped-disc example
 A radial model, given as a builtin, a warping or an area, becomes one area
 function A(t) before the first stage, and every subcommand reads that area.
 
-Reports are JSON (default) or CSV.  JSON reports follow
-:data:`REPORT_SCHEMA`; two runs with the same inputs differ only in the
-``timings`` block.  Each subcommand runs in named stages; ``timings`` holds
+Reports are JSON (default) or CSV.  A JSON report holds exactly the keys
+``REPORT_SCHEMA["required"]`` and follows :data:`REPORT_SCHEMA`; a CSV report
+has the rows of :func:`_csv_rows`.  Two runs with the same inputs differ only
+in the ``timings`` block.  Each subcommand runs in named stages; ``timings`` holds
 the wall seconds of each stage and ``total``, their sum:
 
 bound           symmetrize, moments
@@ -43,6 +44,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
+import io
+import itertools
 import json
 import math
 import os
@@ -353,9 +356,9 @@ def cmd_symmetrize(args, cfg: ModelConfig, target, report: dict, stage: Stages) 
         area = area_of(target, grid, args.theta)
         warping = warping_from_area(area)
         report["table"] = {
-            "t": [float(x) for x in grid.nodes],
-            "area": [float(x) for x in _eval_on(area.eval, grid.nodes)],
-            "omega": [float(x) for x in _eval_on(warping, grid.nodes)],
+            "t": grid.nodes.tolist(),
+            "area": _eval_on(area.eval, grid.nodes).tolist(),
+            "omega": _eval_on(warping, grid.nodes).tolist(),
         }
     report["tolerances"] = {"theta_quadrature": "trapezoid, spectral for periodic densities"}
     return 0
@@ -524,51 +527,40 @@ def _load_config(args) -> tuple[ModelConfig, AreaFunction | PolarMetric2D]:
     return cfg, build_target(cfg, "radius" in data)
 
 
-def _series_csv(report: dict) -> str:
+def _csv_rows(report: dict) -> list[tuple]:
+    """Rows of the CSV report, header first: ``symmetrize``'s table, ``bound``'s
+    level table, or one ``key,value`` row per scalar or list of any other report."""
+    if report["table"]:
+        table = report["table"]
+        return [("t", "area", "omega"), *zip(table["t"], table["area"], table["omega"])]
     series = report["series"]
-    columns = [(series[key], series[f"{key}_k_start"]) for key in ("norm", "center", "mass")]
-    lines = ["k,norm_ratio,center_ratio,mass_ratio"]
-    for k in range(max(start + len(values) for values, start in columns)):
-        cells = [
-            repr(values[k - start]) if 0 <= k - start < len(values) else ""
-            for values, start in columns
-        ]
-        lines.append(",".join([str(k), *cells]))
-    return "\n".join(lines) + "\n"
-
-
-def _table_csv(report: dict) -> str:
-    table = report["table"]
-    lines = ["t,area,omega"]
-    for t, a, w in zip(table["t"], table["area"], table["omega"]):
-        lines.append(f"{t!r},{a!r},{w!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _flat_csv(report: dict) -> str:
-    lines = ["key,value"]
+    if series and report["oracle"] is None:  # bound, whose one result is the series
+        keys = ("norm", "center", "mass")
+        columns = [[None] * series[f"{key}_k_start"] + series[key] for key in keys]
+        levels = enumerate(itertools.zip_longest(*columns))  # None: no ratio at that k
+        return [("k", *(f"{key}_ratio" for key in keys)), *((k, *row) for k, row in levels)]
+    rows = [("key", "value")]
 
     def walk(prefix: str, obj):
         if isinstance(obj, dict):
             for key in sorted(obj):
                 walk(f"{prefix}.{key}" if prefix else key, obj[key])
         elif isinstance(obj, (list, tuple)):
-            lines.append(f"{prefix},{';'.join(repr(v) for v in obj)}")
+            rows.append((prefix, ";".join(map(repr, obj))))
         else:
-            lines.append(f"{prefix},{obj!r}")
+            rows.append((prefix, repr(obj)))
 
     walk("", {k: v for k, v in report.items() if k != "timings"})
-    return "\n".join(lines) + "\n"
+    return rows
 
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if report.get("series"):
-        return _series_csv(report)
-    if report.get("table"):
-        return _table_csv(report)
-    return _flat_csv(report)
+    import csv  # JSON reports, the default, do not load it
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(_csv_rows(report))
+    return out.getvalue()
 
 
 def main(argv=None) -> int:
@@ -577,7 +569,7 @@ def main(argv=None) -> int:
     try:
         args.mesh = _parse_mesh(args.mesh)
         cfg, target = _load_config(args)
-        report = {
+        report = dict.fromkeys(REPORT_SCHEMA["required"]) | {
             "config": {
                 "model": {name: getattr(cfg, name) for name in cfg.FIELDS},
                 "grid": args.grid,
@@ -586,11 +578,6 @@ def main(argv=None) -> int:
                 "tol": args.tol,
                 "mesh": list(args.mesh),
             },
-            "series": None,
-            "bound": None,
-            "oracle": None,
-            "comparison": None,
-            "table": None,
             "tolerances": {},
         }
         code = args.handler(args, cfg, target, report, stage)

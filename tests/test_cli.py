@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import math
@@ -870,6 +871,54 @@ class TestOutputsAndCodes:
         )
         assert code == 0
         assert text.splitlines()[0] == "t,area,omega"
+
+    def test_paper_example_csv_keeps_its_results(self, tmp_path):
+        # the level table held the series alone and dropped the oracle and the sharpness test
+        code, text = run_cli(
+            tmp_path,
+            "paper-example", "--grid", "256", "--theta", "32", "--mesh", "16x16", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0] == ["key", "value"]
+        keys = {row[0] for row in rows}
+        assert {
+            "oracle.lambda1", "comparison.strict_inequality", "comparison.equality_criterion",
+            "series.norm",
+        } <= keys
+
+    @pytest.mark.parametrize("name", ["a, b", 'say "hi"'])
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_csv_cells_keep_commas_and_quotes(self, tmp_path, command, name):
+        # cells were joined with "," and never quoted, so these rows read back as 3 fields
+        config = tmp_path / "comma.json"
+        config.write_text(json.dumps({"kind": "warping", "omega": "pow(t, 1)", "name": name}))
+        code, text = run_cli(
+            tmp_path, command, "--config", str(config), "--grid", "256", "--format", "csv"
+        )
+        assert code == 0
+        rows = list(csv.reader(text.splitlines()))
+        assert all(len(row) == 2 for row in rows), rows
+        cells = dict(rows)
+        assert cells["config.model.omega"] == "'pow(t, 1)'"
+        assert cells["config.model.name"] == repr(name)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--builtin", "euclidean", "--grid", "64"],
+            ["oracle", "--builtin", "euclidean", "--grid", "64"],
+            ["symmetrize", "--builtin", "euclidean", "--grid", "64"],
+            ["compare", "--builtin", "euclidean", "--grid", "64"],
+            ["paper-example", "--grid", "256", "--theta", "32", "--mesh", "16x16"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_report_keys_are_the_schema_keys(self, tmp_path, argv):
+        # the schema allows extra keys; every report has exactly the required ones
+        code, report = run_json(tmp_path, *argv)
+        assert code == 0
+        assert sorted(report) == sorted(REPORT_SCHEMA["required"])
 
     def test_usage_errors(self, tmp_path):
         assert main(["bound"]) == 1

@@ -1,9 +1,12 @@
 """Every input reaches a documented exit code in bounded time, without warnings.
 
 Random configurations of every kind, with radii log-uniform in [1e-6, 1e6]
-plus non-finite and non-positive ones, and extreme curvatures and
-tolerances, run through the CLI on small grids and meshes.
+plus non-finite and non-positive ones, extreme curvatures and tolerances,
+and names that hold a comma or a quote, run through the CLI on small grids
+and meshes.  Every row of a CSV report that succeeds reads back with the
+header's number of fields.
 """
+import csv
 import json
 import math
 import os
@@ -40,6 +43,7 @@ tolerances = st.one_of(
 def configs(draw):
     kind = draw(st.sampled_from(["warping", "area", "polar2d", "builtin"]))
     cfg = {"kind": kind, "radius": draw(radii)}
+    cfg["name"] = draw(st.sampled_from(["model", "a, b", 'say "hi"']))
     if kind == "builtin":
         cfg["builtin"] = draw(
             st.sampled_from(["euclidean", "spherical", "hyperbolic", "paper-example"])
@@ -69,7 +73,8 @@ def test_random_configs_reach_documented_exit_codes(tmp_path_factory, cfg, comma
     if command == "paper-example":
         model = [f"--radius={cfg['radius']!r}"]
     argv = [command, *model, "--grid", "64", "--theta", "16", "--mesh", "16x16"]
-    argv += [f"--tol={tol!r}", "--format", fmt, "--output", os.devnull]
+    out = tmp_path_factory.getbasetemp() / "random-report.csv" if fmt == "csv" else os.devnull
+    argv += [f"--tol={tol!r}", "--format", fmt, "--output", str(out)]
     if kappa is not None:
         argv.append(f"--kappa={kappa!r}")
     start = time.perf_counter()
@@ -83,3 +88,7 @@ def test_random_configs_reach_documented_exit_codes(tmp_path_factory, cfg, comma
             code = exc.code
     assert code in range(6), (argv, cfg)
     assert time.perf_counter() - start < DEADLINE_S, (argv, cfg)
+    if fmt == "csv" and code == 0:
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert all(len(row) == len(header) for row in rows), (argv, cfg)

@@ -9,7 +9,8 @@ checkout's ``perfbench/ops.py`` runs once per tree; then each command of
 which succeed on inputs the benchmark ops never reach, runs once per tree.
 Every run is a fresh ``python -m ballbound.cli`` process with that tree's ``src``
 as PYTHONPATH and ``PYTHONDONTWRITEBYTECODE=1``.  A run differs when its
-exit code, its report without ``timings``, or its stderr differs; a report
+exit code, its report without ``timings`` (a CSV report, which has none, by
+its bytes), or its stderr differs; a report
 that differs is listed by the fields (dotted paths, ``[]`` for any list
 entry) that differ, each with its largest relative difference when both
 values are numbers.  Before
@@ -118,7 +119,10 @@ BUMPED = {"kind": "polar2d", "radius": 3,
 # to 50, spherical balls near the conjugate point pi, hyperbolic areas up to
 # e^600, and eigenvalues near 6e8, where the root search ends on adjacent
 # floats, and near 6e-300; and a density symmetrized at radii 1e-160, 3e106
-# and 1e150, far from the benchmark's
+# and 1e150, far from the benchmark's; and CSV reports, which the benchmark
+# never writes, compared byte for byte: each row shape (the level table of a
+# converged and of an unconverged bound, the symmetrized table, key,value),
+# paper-example's, and a model whose name and expression hold commas
 SUCCESS_PATHS = [
     ("bound grid 16", ["bound", "--builtin", "euclidean", "--grid", "16"], None),
     ("moment grid 8", ["bound", "--builtin", "euclidean", "--grid", "8"], None),
@@ -134,6 +138,20 @@ SUCCESS_PATHS = [
     ("wavy compare", ["compare", "--config", "{config}", "--grid", "512"], WAVY),
     ("symmetrize csv", ["symmetrize", "--config", "{config}", "--grid", "64", "--format", "csv"],
      {"kind": "polar2d", "rho": "sinh(r)", "radius": 2}),
+    ("bound csv", ["bound", "--builtin", "euclidean", "--grid", "128", "--format", "csv"], None),
+    ("unconverged bound csv",
+     ["bound", "--builtin", "hyperbolic", "--dimension", "3", "--radius", "20", "--format", "csv"],
+     None),
+    ("compare csv",
+     ["compare", "--builtin", "euclidean", "--grid", "256", "--format", "csv"], None),
+    ("oracle csv", ["oracle", "--builtin", "euclidean", "--grid", "256", "--format", "csv"], None),
+    ("2-D oracle csv", ["oracle", "--config", "{config}", "--mesh", "16x16", "--format", "csv"],
+     {"kind": "polar2d", "rho": "r", "radius": 1}),
+    ("paper-example csv",
+     ["paper-example", "--grid", "256", "--mesh", "16x16", "--format", "csv"], None),
+    ("comma in a config value csv",
+     ["oracle", "--config", "{config}", "--grid", "256", "--format", "csv"],
+     {"kind": "warping", "omega": "pow(t, 1)", "name": "a, b"}),
     ("paper-example radius 3.5", ["paper-example", "--radius", "3.5", "--grid", "1024"], None),
     ("bumped compare grid 5000 theta 384",
      ["compare", "--config", "{config}", "--grid", "5000", "--theta", "384"], BUMPED),
