@@ -406,7 +406,7 @@ def cmd_paper_example(args, cfg: ModelConfig, metric, report: dict, stage: Stage
         solve = report["oracle"] = _oracle_2d(metric, args)
 
     with stage("sharpness"):
-        radiality, sharp = compare.equality_criterion(metric, area, grid, args.theta, args.tol)
+        radiality, sharp = compare.equality_criterion(metric, grid, args.theta, args.tol)
         gap = report["bound"] - solve["lambda1"]
         report["comparison"] = {
             "area_max_error": area_err,

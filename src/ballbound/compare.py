@@ -3,8 +3,8 @@ reports, and the sharpness (equality) criterion.
 
 If t -> A_g(t)/A_W(t) decreases, the first eigenvalue of the ball is bounded
 by that of the model with warping W; equality forces the mean curvature of
-every geodesic sphere to be radial and equal to (n-1) w'/w of the
-symmetrized metric.
+every geodesic sphere to be radial, and a radial H equals (n-1) w'/w of the
+symmetrized metric, so the radiality alone decides sharpness.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from .geometry import (
     PolarMetric2D,
     RadialGrid,
     _area_samples,
-    _circle_curvature,
     area_of,
+    radiality_deviation,
 )
 from .moments import run_until_converged
 from .oracle import shoot_radial_lambda1
@@ -82,7 +82,7 @@ def cheng_report(
         )
     radiality, radial = 0.0, True
     if isinstance(target, PolarMetric2D):
-        radiality, radial = equality_criterion(target, area_g, grid, m_theta, tol)
+        radiality, radial = equality_criterion(target, grid, m_theta, tol)
 
     monotone_ok, profile = monotonicity_check(area_g, area_ref, grid)
     norm_series, _, _ = run_until_converged(area_g, grid, tol, k_max)
@@ -111,27 +111,18 @@ def cheng_report(
 
 
 def equality_criterion(
-    metric: PolarMetric2D,
-    area: AreaFunction,
-    grid: RadialGrid,
-    m_theta: int,
-    tol: float,
+    metric: PolarMetric2D, grid: RadialGrid, m_theta: int, tol: float
 ) -> tuple[float, bool]:
-    """Sharpness test for a 2-D metric whose symmetrized area on ``grid`` is ``area``.
+    """Sharpness test for a 2-D metric on the interior circles of ``grid``.
 
     Returns the radiality, the largest angular spread of the mean curvature
-    over the interior circles, and whether the metric is sharp: every such
-    spread is within ``tol`` and each circle's angular mean of H matches
-    w'/w = A'/A of the symmetrized metric within ``tol``.  A ``tol`` below
-    1e-9 counts as 1e-9.
+    (:func:`radiality_deviation`), and whether the metric is sharp: the
+    radiality is within ``tol``.  A ``tol`` below 1e-9 counts as 1e-9.
+
+    One test is enough: A'/A = sum rho_r / sum rho is the rho-weighted
+    angular mean of H, so it lies within one radiality of the plain mean
+    of H on every circle, and (n-1) w'/w of the symmetrized metric is A'/A.
     """
     # H is a finite-difference quotient: its noise (about 1e-11) must not decide
-    tol = max(tol, 1e-9)
-    spread, mean = _circle_curvature(metric, grid, m_theta)
-    radiality = float(np.max(spread))
-    if radiality > tol:
-        return radiality, False
-    a = area.samples[1]
-    target = grid.derivative(a)[1:-1] / a[1:-1]
-    # A'/A = (n-1) w'/w with n = 2 against the angular mean of H on each circle
-    return radiality, not np.any(np.abs(mean - target) > tol)
+    radiality = radiality_deviation(metric, grid, m_theta)
+    return radiality, radiality <= max(tol, 1e-9)

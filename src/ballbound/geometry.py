@@ -412,25 +412,17 @@ def mean_curvature_field(metric: PolarMetric2D, t, theta):
     return out if out.ndim else float(out)
 
 
-def _circle_curvature(
-    metric: PolarMetric2D, grid: RadialGrid, m_theta: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spread (max - min) and mean of H over ``m_theta`` uniform angles, per interior grid node."""
-    theta = _angles(m_theta)
-    _check_grid(grid, metric.radius, "metric")
-    blocks = _row_blocks(grid.nodes[1:-1], m_theta)
-    fields = (mean_curvature_field(metric, rows, theta) for rows in blocks)
-    spread, mean = zip(*((np.ptp(h, axis=1), np.mean(h, axis=1)) for h in fields))
-    return np.concatenate(spread), np.concatenate(mean)
-
-
 def radiality_deviation(metric: PolarMetric2D, grid: RadialGrid, m_theta: int) -> float:
-    """Worst-case angular spread of the mean curvature over interior nodes.
+    """Worst-case angular spread (max - min) of the mean curvature over
+    ``m_theta`` uniform angles on the interior grid circles.
 
     Zero (to resolution) means every geodesic circle has radial mean
     curvature, the sharpness condition for the symmetrization bound.
     """
-    return float(np.max(_circle_curvature(metric, grid, m_theta)[0]))
+    theta = _angles(m_theta)
+    _check_grid(grid, metric.radius, "metric")
+    blocks = _row_blocks(grid.nodes[1:-1], m_theta)
+    return max(float(np.ptp(mean_curvature_field(metric, rows, theta), axis=1).max()) for rows in blocks)
 
 
 def euclidean_model(dimension: int, radius: float) -> AreaFunction:

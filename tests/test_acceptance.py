@@ -165,7 +165,7 @@ def test_criterion_7_strict_inequality_at_radius_three():
     flat_value = J0_SQUARED / 9.0
     gap = flat_value - fine.lambda1
     deviation = radiality_deviation(metric, grid, 256)
-    sharp = equality_criterion(metric, area_from_polar_metric(metric, grid, 256), grid, 256, 1e-6)[1]
+    sharp = equality_criterion(metric, grid, 256, 1e-8)[1]
     checks = [
         (fine.lambda1 < flat_value, f"FD eigenvalue {fine.lambda1:.6f} < {flat_value:.6f}"),
         (gap > estimate, f"gap {gap:.2e} exceeds Richardson estimate {estimate:.2e}"),

@@ -339,6 +339,29 @@ class TestCompare:
         assert abs(comp["bound"] - comp["reference_lambda"]) <= comp["combined_tolerance"]
         assert comp["verdict"] == verdict
 
+    @pytest.mark.parametrize(
+        "rho,radius,reference",
+        [
+            ("sin(r)", 2.5, ["--kappa", "1"]),
+            ("sinh(r)", 3, ["--kappa=-1"]),
+            ("tan(r)", 1.2, ["--ref-warping", "tan(t)"]),
+            ("(r + 0.3*r^3)*(1 + 0.2*cos(3*theta))", 1, ["--ref-warping", "t + 0.3*t^3"]),
+            ("sin(r)*(1 + 0.4*sin(2*theta + 1))", 2, ["--ref-warping", "sin(t)"]),
+        ],
+        ids=["round-cap", "hyperbolic-disc", "tan", "cubic-k3", "sin-k2"],
+    )
+    def test_separable_density_against_its_own_warping_is_equality(
+        self, tmp_path, rho, radius, reference
+    ):
+        # rho = f(r) g(theta) has the area of the warping f and radial H = f'/f;
+        # a cross-check of H's angular mean against A'/A used to call these
+        # bound-holds at the default tol
+        cfg = tmp_path / "separable.json"
+        cfg.write_text(json.dumps({"kind": "polar2d", "rho": rho, "radius": radius}))
+        code, report = run_json(tmp_path, "compare", "--config", str(cfg), *reference)
+        assert code == 0
+        assert report["comparison"]["verdict"] == "equality-candidate"
+
 
 class TestPaperExample:
     def test_full_run_at_radius_three(self, tmp_path):

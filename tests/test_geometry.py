@@ -17,7 +17,6 @@ from ballbound.geometry import (
     PolarMetric2D,
     RadialGrid,
     _angles,
-    _circle_curvature,
     _eval_on,
     _row_blocks,
     area_from_polar_metric,
@@ -379,9 +378,6 @@ class TestRowBlocks:
         samples = area_from_polar_metric(metric, grid, m_theta).samples[1]
         assert samples[0] == 0.0
         assert np.array_equal(samples[1:], rho.sum(axis=1) * (2.0 * math.pi / m_theta))
-        spread, mean = _circle_curvature(metric, grid, m_theta)
-        assert np.array_equal(spread, np.ptp(h, axis=1))
-        assert np.array_equal(mean, np.mean(h, axis=1))
         assert radiality_deviation(metric, grid, m_theta) == float(np.max(np.ptp(h, axis=1)))
 
     def test_peak_memory_is_a_block_not_a_field(self):

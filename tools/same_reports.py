@@ -10,10 +10,11 @@ which succeed on inputs the benchmark ops never reach, runs once per tree.
 Every run is a fresh ``python -m ballbound.cli`` process with that tree's ``src``
 as PYTHONPATH and ``PYTHONDONTWRITEBYTECODE=1``.  A run differs when its
 exit code, its report without ``timings`` (a CSV report, which has none, by
-its bytes), or its stderr differs; a report
+its bytes), or its stderr differs; a JSON report
 that differs is listed by the fields (dotted paths, ``[]`` for any list
 entry) that differ, each with its largest relative difference when both
-values are numbers.  Before
+values are numbers, and a CSV report by its first differing row and cell, or
+by its row count when one report is a prefix of the other.  Before
 stderr is compared, a warning's location ``<path>/ballbound/<module>.py:<line>``
 and the source line printed under it are normalized, so code that moved is
 not a difference.  Each differing run is printed; the exit code is 1 if any
@@ -22,6 +23,8 @@ run differs and 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -122,7 +125,9 @@ BUMPED = {"kind": "polar2d", "radius": 3,
 # and 1e150, far from the benchmark's; and CSV reports, which the benchmark
 # never writes, compared byte for byte: each row shape (the level table of a
 # converged and of an unconverged bound, the symmetrized table, key,value),
-# paper-example's, and a model whose name and expression hold commas
+# paper-example's, and a model whose name and expression hold commas; and
+# separable densities f(r) g(theta) compared with their own warping f, the
+# equality class, which the benchmark's compare ops never reach
 SUCCESS_PATHS = [
     ("bound grid 16", ["bound", "--builtin", "euclidean", "--grid", "16"], None),
     ("moment grid 8", ["bound", "--builtin", "euclidean", "--grid", "8"], None),
@@ -179,6 +184,12 @@ SUCCESS_PATHS = [
      {"kind": "polar2d", "rho": "r", "radius": 1e150}),
     ("polar density symmetrize radius 1e-160", ["symmetrize", "--config", "{config}"],
      {"kind": "polar2d", "rho": "r", "radius": 1e-160}),
+    ("round cap compare kappa 1", ["compare", "--config", "{config}", "--kappa", "1"],
+     {"kind": "polar2d", "rho": "sin(r)", "radius": 2.5}),
+    ("hyperbolic disc compare kappa -1", ["compare", "--config", "{config}", "--kappa=-1"],
+     {"kind": "polar2d", "rho": "sinh(r)", "radius": 3}),
+    ("separable cubic compare", ["compare", "--config", "{config}", "--ref-warping", "t + 0.3*t^3"],
+     {"kind": "polar2d", "rho": "(r + 0.3*r^3)*(1 + 0.2*cos(3*theta))", "radius": 1}),
 ]
 
 
@@ -227,6 +238,20 @@ def differing_fields(parent, change, path: str = "") -> dict:
     return dict(sorted(fields.items()))
 
 
+def csv_difference(parent: str, change: str) -> str:
+    """The first row and cell (1-based) at which two CSV reports differ, their
+    row counts when one is a prefix of the other, or that only bytes differ."""
+    rows = [list(csv.reader(io.StringIO(text))) for text in (parent, change)]
+    for i, (a, b) in enumerate(zip(*rows), 1):
+        if a != b:
+            j = next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            cells = [repr(row[j]) if j < len(row) else "no cell" for row in (a, b)]
+            return f"CSV row {i} cell {j + 1}: {cells[0]} -> {cells[1]}"
+    if len(rows[0]) == len(rows[1]):
+        return "same CSV rows, different bytes (quoting or line ends)"
+    return f"CSV rows {len(rows[0])} -> {len(rows[1])}"
+
+
 def describe(parent: tuple, change: tuple) -> list[str]:
     """One line per part of the outcome that differs."""
     lines = []
@@ -238,8 +263,10 @@ def describe(parent: tuple, change: tuple) -> list[str]:
             lines.append("report differs in " + ", ".join(
                 key if rel == math.inf else f"{key} ({rel:.2g})" for key, rel in fields.items()
             ))
+        elif isinstance(parent[1], str) and isinstance(change[1], str):
+            lines.append(csv_difference(parent[1], change[1]))
         else:
-            lines.append("stdout differs (not two JSON reports)")
+            lines.append("stdout differs (not two reports of one format)")
     if parent[2] != change[2]:
         lines.append(f"stderr {parent[2]!r} -> {change[2]!r}")
     return lines
